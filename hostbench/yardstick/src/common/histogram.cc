@@ -1,0 +1,125 @@
+#include "common/histogram.h"
+
+#include <algorithm>
+#include <cmath>
+
+#include "common/macros.h"
+#include "common/string_util.h"
+
+namespace skyrise {
+
+namespace {
+// We bucket values by (exponent, mantissa-slice). Values below 1.0 go into a
+// dedicated linear region scaled by 2^-32 to retain sub-unit resolution.
+constexpr int kExponentRange = 96;  // Covers 2^-32 .. 2^64.
+constexpr int kExponentBias = 32;
+}  // namespace
+
+Histogram::Histogram(int significant_digits) {
+  SKYRISE_CHECK(significant_digits >= 1 && significant_digits <= 3);
+  // ~3.3 bits per decimal digit of relative precision.
+  sub_bucket_bits_ = significant_digits * 4;
+  buckets_.assign(static_cast<size_t>(kExponentRange) << sub_bucket_bits_, 0);
+}
+
+size_t Histogram::BucketIndex(double value) const {
+  if (value <= 0) return 0;
+  int exp = 0;
+  const double mant = std::frexp(value, &exp);  // mant in [0.5, 1).
+  int e = exp + kExponentBias - 1;
+  e = std::clamp(e, 0, kExponentRange - 1);
+  const int sub_buckets = 1 << sub_bucket_bits_;
+  int sub = static_cast<int>((mant - 0.5) * 2.0 * sub_buckets);
+  sub = std::clamp(sub, 0, sub_buckets - 1);
+  return (static_cast<size_t>(e) << sub_bucket_bits_) + static_cast<size_t>(sub);
+}
+
+double Histogram::BucketMid(size_t index) const {
+  const int sub_buckets = 1 << sub_bucket_bits_;
+  const int e = static_cast<int>(index >> sub_bucket_bits_) - kExponentBias + 1;
+  const int sub = static_cast<int>(index & (sub_buckets - 1));
+  const double mant = 0.5 + (sub + 0.5) / (2.0 * sub_buckets);
+  return std::ldexp(mant, e);
+}
+
+void Histogram::Record(double value) { RecordN(value, 1); }
+
+void Histogram::RecordN(double value, int64_t count) {
+  if (count <= 0) return;
+  buckets_[BucketIndex(value)] += count;
+  count_ += count;
+  sum_ += value * count;
+  sum_sq_ += value * value * count;
+  if (!has_values_) {
+    min_ = max_ = value;
+    has_values_ = true;
+  } else {
+    min_ = std::min(min_, value);
+    max_ = std::max(max_, value);
+  }
+}
+
+double Histogram::min() const { return has_values_ ? min_ : 0.0; }
+
+double Histogram::Percentile(double p) const {
+  if (count_ == 0) return 0.0;
+  const double target = std::clamp(p, 0.0, 100.0) / 100.0 *
+                        static_cast<double>(count_);
+  int64_t acc = 0;
+  for (size_t i = 0; i < buckets_.size(); ++i) {
+    acc += buckets_[i];
+    if (static_cast<double>(acc) >= target && buckets_[i] > 0) {
+      // Clamp bucket midpoint to the true observed range.
+      return std::clamp(BucketMid(i), min_, max_);
+    }
+  }
+  return max_;
+}
+
+double Histogram::StdDev() const {
+  if (count_ < 2) return 0.0;
+  const double mean = sum_ / count_;
+  const double var = std::max(0.0, sum_sq_ / count_ - mean * mean);
+  return std::sqrt(var);
+}
+
+double Histogram::CoV() const {
+  const double m = mean();
+  return m == 0.0 ? 0.0 : 100.0 * StdDev() / m;
+}
+
+void Histogram::Merge(const Histogram& other) {
+  SKYRISE_CHECK(sub_bucket_bits_ == other.sub_bucket_bits_);
+  for (size_t i = 0; i < buckets_.size(); ++i) buckets_[i] += other.buckets_[i];
+  count_ += other.count_;
+  sum_ += other.sum_;
+  sum_sq_ += other.sum_sq_;
+  if (other.has_values_) {
+    if (!has_values_) {
+      min_ = other.min_;
+      max_ = other.max_;
+      has_values_ = true;
+    } else {
+      min_ = std::min(min_, other.min_);
+      max_ = std::max(max_, other.max_);
+    }
+  }
+}
+
+void Histogram::Reset() {
+  std::fill(buckets_.begin(), buckets_.end(), 0);
+  count_ = 0;
+  sum_ = sum_sq_ = 0;
+  min_ = max_ = 0;
+  has_values_ = false;
+}
+
+std::string Histogram::Summary(const std::string& unit) const {
+  const char* u = unit.c_str();
+  return StrFormat(
+      "n=%lld mean=%.3f%s p50=%.3f%s p95=%.3f%s p99=%.3f%s max=%.3f%s",
+      static_cast<long long>(count_), mean(), u, Percentile(50), u,
+      Percentile(95), u, Percentile(99), u, max(), u);
+}
+
+}  // namespace skyrise

@@ -1,0 +1,120 @@
+#pragma once
+
+#include <cstdint>
+#include <vector>
+
+#include "common/macros.h"
+#include "data/chunk.h"
+
+/// \file chunk_pool.h
+/// Per-worker recycling pool for data::Chunk buffers. Morsel-driven execution
+/// creates and drops a chunk per Push()/operator hop; without reuse every hop
+/// reallocates each column's vectors (and every string element). The pool
+/// keeps released chunks on a LIFO free list so the next Acquire hands back
+/// warm capacity.
+///
+/// Ownership rules (see DESIGN.md "Event-kernel and data-plane memory
+/// model"): a chunk obtained from Acquire is owned by the caller and may
+/// outlive the pool; Release is an optional donation, never an obligation.
+/// Pools are strictly per-worker (single-threaded on the sim event loop), so
+/// there is no locking. Retained capacity is *not* charged to
+/// engine::MemoryTracker — the tracker prices live data bytes, and pooled
+/// buffers hold no live rows; the retained footprint is visible through
+/// stats().retained_bytes instead.
+
+namespace skyrise::data {
+
+class ChunkPool {
+ public:
+  /// `max_free` bounds how many spent chunks the pool retains; releases past
+  /// the cap are dropped so a burst cannot pin capacity forever.
+  explicit ChunkPool(size_t max_free = 64) : max_free_(max_free) {}
+  SKYRISE_DISALLOW_COPY_AND_ASSIGN(ChunkPool);
+
+  /// Returns an empty materialized chunk shaped to `schema`, recycling the
+  /// most recently released chunk's buffers when one is available.
+  Chunk Acquire(const Schema& schema) {
+    ++acquired_;
+    if (!free_.empty()) {
+      ++reuse_hits_;
+      Chunk chunk = std::move(free_.back());
+      free_.pop_back();
+      chunk.ResetTo(schema);
+      return chunk;
+    }
+    return Chunk::Empty(schema);
+  }
+
+  /// Like Acquire but reshapes with Chunk::PrepareFor instead of ResetTo:
+  /// column contents are unspecified (not cleared), which keeps string
+  /// *element* buffers alive for FilterInto/SliceInto/DecodeColumnInto
+  /// refills. Use only when every column is overwritten before being read.
+  Chunk AcquirePrepared(const Schema& schema) {
+    ++acquired_;
+    if (!free_.empty()) {
+      ++reuse_hits_;
+      Chunk chunk = std::move(free_.back());
+      free_.pop_back();
+      chunk.PrepareFor(schema);
+      return chunk;
+    }
+    return Chunk::Empty(schema);
+  }
+
+  /// Returns a free chunk as-is (arbitrary shape, unspecified contents) for
+  /// decode-into flows that reshape it themselves, e.g.
+  /// format::DecodeRowGroupInto. Returns a default-constructed chunk when
+  /// the free list is empty.
+  Chunk AcquireRaw() {
+    ++acquired_;
+    if (!free_.empty()) {
+      ++reuse_hits_;
+      Chunk chunk = std::move(free_.back());
+      free_.pop_back();
+      return chunk;
+    }
+    return Chunk();
+  }
+
+  /// Donates a spent chunk's buffers back to the pool. Synthetic and
+  /// moved-from chunks carry no buffers and are dropped.
+  void Release(Chunk&& chunk) {
+    ++released_;
+    if (chunk.is_synthetic() || chunk.num_columns() == 0 ||
+        free_.size() >= max_free_) {
+      ++dropped_;
+      return;
+    }
+    free_.push_back(std::move(chunk));
+  }
+
+  struct Stats {
+    uint64_t acquired = 0;    ///< Total Acquire calls.
+    uint64_t reuse_hits = 0;  ///< Acquires served from the free list.
+    uint64_t released = 0;    ///< Total Release calls.
+    uint64_t dropped = 0;     ///< Releases dropped (synthetic or cap).
+    uint64_t free_chunks = 0;
+    int64_t retained_bytes = 0;  ///< Capacity currently parked on the free list.
+  };
+
+  Stats stats() const {
+    Stats s;
+    s.acquired = acquired_;
+    s.reuse_hits = reuse_hits_;
+    s.released = released_;
+    s.dropped = dropped_;
+    s.free_chunks = free_.size();
+    for (const auto& chunk : free_) s.retained_bytes += chunk.CapacityBytes();
+    return s;
+  }
+
+ private:
+  size_t max_free_;
+  std::vector<Chunk> free_;
+  uint64_t acquired_ = 0;
+  uint64_t reuse_hits_ = 0;
+  uint64_t released_ = 0;
+  uint64_t dropped_ = 0;
+};
+
+}  // namespace skyrise::data

@@ -1,0 +1,230 @@
+#include "engine/plan.h"
+
+#include "common/string_util.h"
+
+namespace skyrise::engine {
+
+namespace {
+
+Json StringsToJson(const std::vector<std::string>& values) {
+  Json out = Json::Array();
+  for (const auto& v : values) out.Append(v);
+  return out;
+}
+
+std::vector<std::string> StringsFromJson(const Json& json) {
+  std::vector<std::string> out;
+  if (json.is_array()) {
+    for (const auto& v : json.AsArray()) out.push_back(v.AsString());
+  }
+  return out;
+}
+
+}  // namespace
+
+Json InputSpec::ToJson() const {
+  Json out = Json::Object();
+  out["type"] = type == Type::kTable ? "table" : "shuffle";
+  if (type == Type::kTable) {
+    out["table"] = table;
+    out["columns"] = StringsToJson(columns);
+    if (pushdown) out["pushdown"] = pushdown->ToJson();
+    out["pushdown_selectivity"] = pushdown_selectivity;
+  } else {
+    out["upstream_pipeline"] = upstream_pipeline;
+  }
+  return out;
+}
+
+Result<InputSpec> InputSpec::FromJson(const Json& json) {
+  InputSpec spec;
+  spec.type = json.GetString("type") == "shuffle" ? Type::kShuffle
+                                                  : Type::kTable;
+  spec.table = json.GetString("table");
+  spec.columns = StringsFromJson(json.Get("columns"));
+  if (json.Has("pushdown")) {
+    SKYRISE_ASSIGN_OR_RETURN(spec.pushdown,
+                             Expr::FromJson(json.Get("pushdown")));
+  }
+  spec.pushdown_selectivity = json.GetDouble("pushdown_selectivity", 1.0);
+  spec.upstream_pipeline =
+      static_cast<int>(json.GetInt("upstream_pipeline", -1));
+  return spec;
+}
+
+Json OperatorSpec::ToJson() const {
+  Json out = Json::Object();
+  out["op"] = op;
+  if (predicate) out["predicate"] = predicate->ToJson();
+  out["selectivity"] = selectivity;
+  if (!projections.empty()) {
+    Json projs = Json::Array();
+    for (const auto& [name, expr] : projections) {
+      Json p = Json::Object();
+      p["name"] = name;
+      p["expr"] = expr->ToJson();
+      projs.Append(std::move(p));
+    }
+    out["projections"] = std::move(projs);
+  }
+  if (!group_by.empty()) out["group_by"] = StringsToJson(group_by);
+  if (!aggregates.empty()) {
+    Json aggs = Json::Array();
+    for (const auto& agg : aggregates) {
+      Json a = Json::Object();
+      a["func"] = agg.func;
+      if (agg.expr) a["expr"] = agg.expr->ToJson();
+      a["as"] = agg.as;
+      aggs.Append(std::move(a));
+    }
+    out["aggregates"] = std::move(aggs);
+  }
+  out["groups_hint"] = groups_hint;
+  if (!probe_keys.empty()) {
+    out["probe_keys"] = StringsToJson(probe_keys);
+    out["build_keys"] = StringsToJson(build_keys);
+    out["build_columns"] = StringsToJson(build_columns);
+    out["build_input"] = build_input;
+    out["join_multiplier"] = join_multiplier;
+  }
+  if (!partition_keys.empty() || op == "partition_write") {
+    out["partition_keys"] = StringsToJson(partition_keys);
+    out["partition_count"] = partition_count;
+  }
+  if (!sort_keys.empty()) {
+    out["sort_keys"] = StringsToJson(sort_keys);
+    Json asc = Json::Array();
+    for (bool b : sort_ascending) asc.Append(b);
+    out["sort_ascending"] = std::move(asc);
+  }
+  out["limit"] = limit;
+  if (op == "bb_sessionize") {
+    out["session_window_days"] = session_window_days;
+    out["target_category"] = target_category;
+    out["udf_output_ratio"] = udf_output_ratio;
+  }
+  return out;
+}
+
+Result<OperatorSpec> OperatorSpec::FromJson(const Json& json) {
+  OperatorSpec spec;
+  spec.op = json.GetString("op");
+  if (json.Has("predicate")) {
+    SKYRISE_ASSIGN_OR_RETURN(spec.predicate,
+                             Expr::FromJson(json.Get("predicate")));
+  }
+  spec.selectivity = json.GetDouble("selectivity", 1.0);
+  if (json.Has("projections")) {
+    for (const auto& p : json.Get("projections").AsArray()) {
+      ExprPtr expr;
+      SKYRISE_ASSIGN_OR_RETURN(expr, Expr::FromJson(p.Get("expr")));
+      spec.projections.emplace_back(p.GetString("name"), std::move(expr));
+    }
+  }
+  spec.group_by = StringsFromJson(json.Get("group_by"));
+  if (json.Has("aggregates")) {
+    for (const auto& a : json.Get("aggregates").AsArray()) {
+      AggregateSpec agg;
+      agg.func = a.GetString("func");
+      if (a.Has("expr")) {
+        SKYRISE_ASSIGN_OR_RETURN(agg.expr, Expr::FromJson(a.Get("expr")));
+      }
+      agg.as = a.GetString("as");
+      spec.aggregates.push_back(std::move(agg));
+    }
+  }
+  spec.groups_hint = json.GetInt("groups_hint", 1);
+  spec.probe_keys = StringsFromJson(json.Get("probe_keys"));
+  spec.build_keys = StringsFromJson(json.Get("build_keys"));
+  spec.build_columns = StringsFromJson(json.Get("build_columns"));
+  spec.build_input = static_cast<int>(json.GetInt("build_input", 1));
+  spec.join_multiplier = json.GetDouble("join_multiplier", 1.0);
+  spec.partition_keys = StringsFromJson(json.Get("partition_keys"));
+  spec.partition_count = static_cast<int>(json.GetInt("partition_count", 1));
+  spec.sort_keys = StringsFromJson(json.Get("sort_keys"));
+  if (json.Has("sort_ascending")) {
+    for (const auto& b : json.Get("sort_ascending").AsArray()) {
+      spec.sort_ascending.push_back(b.AsBool());
+    }
+  }
+  spec.limit = json.GetInt("limit", -1);
+  spec.session_window_days = json.GetInt("session_window_days", 10);
+  spec.target_category = json.GetInt("target_category", 1);
+  spec.udf_output_ratio = json.GetDouble("udf_output_ratio", 0.05);
+  return spec;
+}
+
+Json PipelineSpec::ToJson() const {
+  Json out = Json::Object();
+  out["id"] = id;
+  Json ins = Json::Array();
+  for (const auto& input : inputs) ins.Append(input.ToJson());
+  out["inputs"] = std::move(ins);
+  Json op_list = Json::Array();
+  for (const auto& op : ops) op_list.Append(op.ToJson());
+  out["ops"] = std::move(op_list);
+  Json deps = Json::Array();
+  for (int d : depends_on) deps.Append(d);
+  out["depends_on"] = std::move(deps);
+  return out;
+}
+
+Result<PipelineSpec> PipelineSpec::FromJson(const Json& json) {
+  PipelineSpec spec;
+  spec.id = static_cast<int>(json.GetInt("id"));
+  for (const auto& input : json.Get("inputs").AsArray()) {
+    InputSpec parsed;
+    SKYRISE_ASSIGN_OR_RETURN(parsed, InputSpec::FromJson(input));
+    spec.inputs.push_back(std::move(parsed));
+  }
+  for (const auto& op : json.Get("ops").AsArray()) {
+    OperatorSpec parsed;
+    SKYRISE_ASSIGN_OR_RETURN(parsed, OperatorSpec::FromJson(op));
+    spec.ops.push_back(std::move(parsed));
+  }
+  if (json.Has("depends_on")) {
+    for (const auto& d : json.Get("depends_on").AsArray()) {
+      spec.depends_on.push_back(static_cast<int>(d.AsInt()));
+    }
+  }
+  return spec;
+}
+
+Json QueryPlan::ToJson() const {
+  Json out = Json::Object();
+  out["query_name"] = query_name;
+  Json list = Json::Array();
+  for (const auto& pipeline : pipelines) list.Append(pipeline.ToJson());
+  out["pipelines"] = std::move(list);
+  return out;
+}
+
+Result<QueryPlan> QueryPlan::FromJson(const Json& json) {
+  QueryPlan plan;
+  plan.query_name = json.GetString("query_name");
+  for (const auto& p : json.Get("pipelines").AsArray()) {
+    PipelineSpec parsed;
+    SKYRISE_ASSIGN_OR_RETURN(parsed, PipelineSpec::FromJson(p));
+    plan.pipelines.push_back(std::move(parsed));
+  }
+  return plan;
+}
+
+const PipelineSpec* QueryPlan::FindPipeline(int id) const {
+  for (const auto& pipeline : pipelines) {
+    if (pipeline.id == id) return &pipeline;
+  }
+  return nullptr;
+}
+
+std::string ShuffleKey(const std::string& query_id, int pipeline, int fragment,
+                       int partition) {
+  return StrFormat("shuffle/%s/p%d/f%05d/part-%05d.cof", query_id.c_str(),
+                   pipeline, fragment, partition);
+}
+
+std::string ResultKey(const std::string& query_id) {
+  return StrFormat("results/%s/final.cof", query_id.c_str());
+}
+
+}  // namespace skyrise::engine

@@ -1,0 +1,1104 @@
+#include "engine/worker.h"
+
+#include <deque>
+#include <memory>
+#include <optional>
+
+#include "common/string_util.h"
+
+namespace skyrise::engine {
+
+namespace {
+
+using data::Chunk;
+using storage::Blob;
+
+/// One pending ranged read; large column chunks are split into
+/// `range_chunk_bytes` pieces processed in parallel (Section 3.2).
+struct ReadOp {
+  std::string key;
+  int64_t offset = 0;
+  int64_t length = 0;
+  size_t buffer = 0;  ///< Result slot.
+  int64_t buffer_offset = 0;
+};
+
+/// Issues reads with bounded concurrency against a retrying client,
+/// reassembling split ranges, then fires `done` with the buffers. Used for
+/// build-side inputs, which must materialize fully before the probe stream
+/// starts.
+class ReadBatch : public std::enable_shared_from_this<ReadBatch> {
+ public:
+  ReadBatch(EngineContext* ec, storage::RetryClient* client,
+            storage::ClientContext storage_ctx, size_t buffer_count)
+      : ec_(ec), client_(client), storage_ctx_(std::move(storage_ctx)) {
+    buffers_.resize(buffer_count);
+    synthetic_.assign(buffer_count, false);
+  }
+
+  void Add(ReadOp op) {
+    // Split oversized ranges into parallel chunked requests.
+    while (op.length > ec_->range_chunk_bytes) {
+      ReadOp piece = op;
+      piece.length = ec_->range_chunk_bytes;
+      pending_.push_back(piece);
+      op.offset += ec_->range_chunk_bytes;
+      op.buffer_offset += ec_->range_chunk_bytes;
+      op.length -= ec_->range_chunk_bytes;
+    }
+    if (op.length > 0) pending_.push_back(op);
+  }
+
+  /// `done(status, buffers, synthetic_flags, bytes_read)`.
+  using DoneFn = std::function<void(Status, std::vector<std::string>,
+                                    std::vector<bool>, int64_t)>;
+
+  void Start(DoneFn done) {
+    done_ = std::move(done);
+    if (pending_.empty()) {
+      Settle(Status::OK());
+      return;
+    }
+    total_ = pending_.size();
+    Pump();
+  }
+
+ private:
+  void Pump() {
+    while (outstanding_ < ec_->max_concurrent_requests && !pending_.empty()) {
+      ReadOp op = pending_.front();
+      pending_.pop_front();
+      ++outstanding_;
+      auto self = shared_from_this();
+      client_->GetRange(op.key, op.offset, op.length, storage_ctx_,
+                        [self, op](Result<Blob> result) {
+                          self->OnRead(op, std::move(result));
+                        });
+    }
+  }
+
+  void OnRead(const ReadOp& op, Result<Blob> result) {
+    --outstanding_;
+    ++completed_;
+    if (settled_) return;
+    if (!result.ok()) {
+      Settle(result.status());
+      return;
+    }
+    bytes_read_ += result->size();
+    if (result->is_synthetic()) {
+      synthetic_[op.buffer] = true;
+    } else {
+      std::string& buffer = buffers_[op.buffer];
+      const size_t end = static_cast<size_t>(op.buffer_offset) +
+                         result->data().size();
+      if (buffer.size() < end) buffer.resize(end);
+      result->data().copy(buffer.data() + op.buffer_offset,
+                          result->data().size());
+    }
+    if (completed_ == total_) {
+      Settle(Status::OK());
+      return;
+    }
+    Pump();
+  }
+
+  void Settle(Status status) {
+    if (settled_) return;
+    settled_ = true;
+    done_(std::move(status), std::move(buffers_), std::move(synthetic_),
+          bytes_read_);
+  }
+
+  EngineContext* ec_;
+  // Client stub for the storage crossings (RetryClient::GetRange).
+  // skyrise-check: allow(domain-escape) — client stub for a crossing API.
+  storage::RetryClient* client_;
+  storage::ClientContext storage_ctx_;
+  std::deque<ReadOp> pending_;
+  std::vector<std::string> buffers_;
+  std::vector<bool> synthetic_;
+  size_t total_ = 0;
+  size_t completed_ = 0;
+  int outstanding_ = 0;
+  int64_t bytes_read_ = 0;
+  bool settled_ = false;
+  DoneFn done_;
+};
+
+/// Executes one fragment as a streaming morsel pipeline: build-side inputs
+/// (pipeline inputs 1..n) materialize first, then the streamed input 0 is
+/// read one row group at a time and pushed through a FragmentPipeline while
+/// further ranged reads are in flight — I/O and compute overlap on the sim
+/// event loop. Decoded row groups enter the pipeline in deterministic
+/// (file, row group) / upstream-fragment order regardless of which reads
+/// straggled or were retried, so result bytes are reproducible under faults.
+class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
+ public:
+  WorkerTask(EngineContext* ec,
+             std::shared_ptr<faas::FunctionContext> fctx)
+      : ec_(ec), fctx_(std::move(fctx)), cost_(ec->cost_model) {}
+
+  void Run() {
+    start_ = Now();
+    tracer_ = fctx_->tracer();
+    metrics_ = fctx_->metrics();
+    const Json& payload = fctx_->payload();
+    query_id_ = payload.GetString("query_id");
+    fragment_ = static_cast<int>(payload.GetInt("fragment"));
+    barrier_participants_ =
+        static_cast<int>(payload.GetInt("barrier_participants", 0));
+    // Phase spans live on the "worker" track under the platform's execution
+    // span; storage request spans hang off the phase that issued them.
+    if (tracer_ != nullptr) {
+      input_span_ = tracer_->Begin("worker", "input", "engine", fctx_->span());
+      tracer_->SetArg(input_span_, "fragment", Json(fragment_));
+    }
+    auto parsed = PipelineSpec::FromJson(payload.Get("pipeline"));
+    if (!parsed.ok()) {
+      Fail(parsed.status());
+      return;
+    }
+    pipeline_ = std::move(parsed).ValueUnsafe();
+    for (const auto& input : payload.Get("inputs").AsArray()) {
+      WorkerInputAssignment assignment;
+      for (const auto& f : input.Get("files").AsArray()) {
+        assignment.files.push_back(
+            TableFileAssignment{f.GetString("key"), f.GetInt("size")});
+      }
+      assignment.upstream_fragments =
+          static_cast<int>(input.GetInt("upstream_fragments"));
+      assignments_.push_back(std::move(assignment));
+    }
+    if (assignments_.size() != pipeline_.inputs.size()) {
+      Fail(Status::InvalidArgument("input assignment mismatch"));
+      return;
+    }
+    table_client_ = std::make_unique<storage::RetryClient>(
+        ec_->env, ec_->table_store, ec_->retry,
+        0x9000 + static_cast<uint64_t>(fragment_));
+    shuffle_client_ = std::make_unique<storage::RetryClient>(
+        ec_->env, ec_->shuffle_store, ec_->retry,
+        0xA000 + static_cast<uint64_t>(fragment_));
+    storage_ctx_.nic = fctx_->nic();
+    storage_ctx_.fabric = fctx_->fabric();
+    storage_ctx_.meter = ec_->meter;
+    storage_ctx_.tracer = tracer_;
+    storage_ctx_.span = input_span_;
+    storage_ctx_.metrics = metrics_;
+    // Overload robustness: the query deadline rides in the payload; the
+    // retry-token pool is this query's coordinator-published grant, looked
+    // up by query id (queries interleave on a shared context). A missing
+    // entry means the coordinator already finished — this is a zombie
+    // attempt and runs without a pooled budget.
+    storage_ctx_.deadline =
+        Deadline::At(fctx_->payload().GetInt("deadline_us", 0));
+    const auto* grants = ec_->FindGrants(query_id_);
+    storage_ctx_.retry_budget =
+        grants != nullptr ? grants->retry_budget : nullptr;
+    storage_ctx_.breaker = ec_->storage_breaker;
+    loaded_.resize(pipeline_.inputs.size());
+    LoadBuildInput(1);
+  }
+
+ private:
+  SimTime Now() const { return ec_->env->now(); }
+
+  void Fail(Status status) {
+    if (done_) return;
+    done_ = true;
+    if (tracer_ != nullptr) {
+      // Close whichever phase is still open (EndWith no-ops on the rest).
+      tracer_->EndWith(input_span_, "error");
+      tracer_->EndWith(compute_span_, "error");
+      tracer_->EndWith(output_span_, "error");
+    }
+    fctx_->FinishError(std::move(status));
+  }
+
+  // --- Build-side inputs (pipeline inputs 1..n): fully materialized. ---
+
+  void LoadBuildInput(size_t index) {
+    if (index >= pipeline_.inputs.size()) {
+      MaybeBarrier();
+      return;
+    }
+    const InputSpec& spec = pipeline_.inputs[index];
+    if (spec.type == InputSpec::Type::kTable) {
+      LoadTableInput(index);
+    } else {
+      LoadShuffleInput(index);
+    }
+  }
+
+  // --- Table input: footer fetch -> prune -> chunked column reads. ---
+
+  void LoadTableInput(size_t index) {
+    auto files = std::make_shared<std::vector<TableFileAssignment>>(
+        assignments_[index].files);
+    LoadNextFile(index, files, 0);
+  }
+
+  void LoadNextFile(size_t index,
+                    std::shared_ptr<std::vector<TableFileAssignment>> files,
+                    size_t file_index) {
+    if (file_index >= files->size()) {
+      LoadBuildInput(index + 1);
+      return;
+    }
+    const TableFileAssignment& file = (*files)[file_index];
+    auto self = shared_from_this();
+    FetchFooter(file, [self, index, files, file_index](
+                          format::FileMeta meta) {
+      self->ReadFileColumns(index, files, file_index, (*files)[file_index],
+                            std::move(meta));
+    });
+  }
+
+  /// Fetches + parses a file footer (or resolves it via the synthetic
+  /// catalog) and hands the FileMeta to `then`. Failures finish the task.
+  void FetchFooter(const TableFileAssignment& file,
+                   std::function<void(format::FileMeta)> then) {
+    const int64_t fetch =
+        std::min<int64_t>(file.size, format::kFooterFetchSize);
+    auto self = shared_from_this();
+    table_client_->GetRange(
+        file.key, file.size - fetch, fetch, storage_ctx_,
+        [self, file, fetch, then](Result<Blob> result) {
+          if (self->done_) return;
+          if (!result.ok()) {
+            self->Fail(result.status());
+            return;
+          }
+          self->bytes_read_ += result->size();
+          format::FileMeta meta;
+          if (result->is_synthetic()) {
+            auto found = self->ec_->catalog->Find(file.key);
+            if (!found.ok()) {
+              self->Fail(found.status());
+              return;
+            }
+            meta = std::move(found).ValueUnsafe();
+          } else {
+            auto parsed = format::ParseFooter(result->data(),
+                                              file.size - fetch, file.size);
+            if (!parsed.ok()) {
+              self->Fail(parsed.status());
+              return;
+            }
+            meta = std::move(parsed).ValueUnsafe();
+          }
+          then(std::move(meta));
+        });
+  }
+
+  /// Row-group pruning on min/max statistics (selection pushdown).
+  std::vector<size_t> PruneRowGroups(const InputSpec& spec,
+                                     const format::FileMeta& meta) const {
+    std::vector<size_t> survivors;
+    for (size_t rg = 0; rg < meta.row_groups.size(); ++rg) {
+      bool keep = true;
+      if (spec.pushdown) {
+        const auto& groups = meta.row_groups[rg];
+        keep = RangeMayMatch(
+            *spec.pushdown,
+            [&](const std::string& column, double* min, double* max) {
+              const int idx = meta.schema.FieldIndex(column);
+              if (idx < 0) return false;
+              const auto& cm = groups.columns[static_cast<size_t>(idx)];
+              if (!cm.min.has_value() || !cm.max.has_value()) return false;
+              *min = *cm.min;
+              *max = *cm.max;
+              return true;
+            });
+      }
+      if (keep) survivors.push_back(rg);
+    }
+    return survivors;
+  }
+
+  std::vector<std::string> ProjectionFor(const InputSpec& spec,
+                                         const format::FileMeta& meta) const {
+    std::vector<std::string> projection = spec.columns;
+    if (projection.empty()) {
+      for (const auto& f : meta.schema.fields()) projection.push_back(f.name);
+    }
+    return projection;
+  }
+
+  /// Applies the input's pushdown predicate to a freshly decoded row group.
+  /// Synthetic pruning already reduced groups; the residual selectivity is
+  /// relative to the pruned set.
+  [[nodiscard]] Result<Chunk> ApplyPushdown(const InputSpec& spec,
+                                            Chunk&& chunk) {
+    if (!spec.pushdown) return std::move(chunk);
+    OperatorSpec filter;
+    filter.op = "filter";
+    filter.predicate = spec.pushdown;
+    filter.selectivity = spec.pushdown_selectivity;
+    Result<Chunk> out = ApplyFilterOp(filter, std::move(chunk), &cost_);
+    // ApplyFilterOp copies surviving rows out; the decoded source buffers
+    // go back to the pool for the next row group.
+    // skyrise-check: allow(use-after-move) — Release accepts moved-from chunks.
+    chunk_pool_.Release(std::move(chunk));
+    return out;
+  }
+
+  void ReadFileColumns(size_t index,
+                       std::shared_ptr<std::vector<TableFileAssignment>> files,
+                       size_t file_index, const TableFileAssignment& file,
+                       format::FileMeta meta) {
+    const InputSpec& spec = pipeline_.inputs[index];
+    auto meta_ptr = std::make_shared<format::FileMeta>(std::move(meta));
+    auto survivors =
+        std::make_shared<std::vector<size_t>>(PruneRowGroups(spec, *meta_ptr));
+    std::vector<std::string> projection = ProjectionFor(spec, *meta_ptr);
+
+    // Make the input schema known even if every row group is pruned.
+    {
+      auto projected = meta_ptr->schema.Select(projection);
+      if (!projected.ok()) {
+        Fail(projected.status());
+        return;
+      }
+      if (!loaded_[index].has_value()) {
+        loaded_[index] = Chunk::Empty(*projected);
+      }
+    }
+    auto batch = std::make_shared<ReadBatch>(
+        ec_, table_client_.get(), storage_ctx_,
+        survivors->size() * projection.size());
+    size_t buffer = 0;
+    for (size_t rg : *survivors) {
+      auto ranges =
+          format::RowGroupColumnRanges(*meta_ptr, rg, projection);
+      if (!ranges.ok()) {
+        Fail(ranges.status());
+        return;
+      }
+      for (const format::ColumnRange& range : *ranges) {
+        batch->Add(ReadOp{file.key, range.offset, range.size, buffer, 0});
+        ++buffer;
+      }
+    }
+    auto self = shared_from_this();
+    auto projection_ptr =
+        std::make_shared<std::vector<std::string>>(std::move(projection));
+    batch->Start([self, index, files, file_index, meta_ptr, survivors,
+                  projection_ptr](Status status,
+                                  std::vector<std::string> buffers,
+                                  std::vector<bool> synthetic,
+                                  int64_t bytes) {
+      if (!status.ok()) {
+        self->Fail(status);
+        return;
+      }
+      self->bytes_read_ += bytes;
+      self->cost_.AddNs(static_cast<double>(bytes) *
+                        self->cost_.model().decode_ns_per_byte);
+      size_t buffer = 0;
+      for (size_t rg : *survivors) {
+        std::vector<std::string> column_bytes;
+        for (size_t c = 0; c < projection_ptr->size(); ++c) {
+          column_bytes.push_back(std::move(buffers[buffer]));
+          (void)synthetic;
+          ++buffer;
+        }
+        Chunk decoded = self->chunk_pool_.AcquireRaw();
+        const Status decode_status = format::DecodeRowGroupInto(
+            *meta_ptr, rg, *projection_ptr, column_bytes, &decoded);
+        if (!decode_status.ok()) {
+          self->Fail(decode_status);
+          return;
+        }
+        auto filtered = self->ApplyPushdown(self->pipeline_.inputs[index],
+                                            std::move(decoded));
+        if (!filtered.ok()) {
+          self->Fail(filtered.status());
+          return;
+        }
+        self->AccumulateInput(index, std::move(filtered).ValueUnsafe());
+      }
+      self->LoadNextFile(index, files, file_index + 1);
+    });
+  }
+
+  // --- Shuffle input: read every upstream fragment's partition object. ---
+
+  void LoadShuffleInput(size_t index) {
+    const InputSpec& spec = pipeline_.inputs[index];
+    const int upstream = spec.upstream_pipeline;
+    const int count = assignments_[index].upstream_fragments;
+    auto remaining = std::make_shared<int>(count);
+    auto failed = std::make_shared<bool>(false);
+    if (count == 0) {
+      LoadBuildInput(index + 1);
+      return;
+    }
+    auto self = shared_from_this();
+    auto outstanding = std::make_shared<int>(0);
+    auto next = std::make_shared<int>(0);
+    // Reads complete in storage-latency order, which is not deterministic
+    // across fault/retry schedules. Decode into one slot per upstream
+    // fragment and accumulate in fragment order once all reads are in, so
+    // the input chunk order (and thus the query result bytes) is identical
+    // regardless of which attempts straggled or were retried.
+    auto slots = std::make_shared<std::vector<std::vector<Chunk>>>(
+        static_cast<size_t>(count));
+    auto pump = std::make_shared<std::function<void()>>();
+    *pump = [self, index, upstream, count, remaining, failed, outstanding,
+             next, slots, pump] {
+      while (*outstanding < self->ec_->max_concurrent_requests &&
+             *next < count) {
+        const int uf = (*next)++;
+        ++(*outstanding);
+        const std::string key =
+            ShuffleKey(self->query_id_, upstream, uf, self->fragment_);
+        self->shuffle_client_->Get(
+            key, self->storage_ctx_,
+            [self, index, key, uf, remaining, failed, outstanding, slots,
+             pump](Result<Blob> result) {
+              --(*outstanding);
+              if (*failed) return;
+              if (!result.ok()) {
+                *failed = true;
+                self->Fail(result.status());
+                return;
+              }
+              self->bytes_read_ += result->size();
+              if (!self->DecodeShuffleObject(
+                      key, *result, &(*slots)[static_cast<size_t>(uf)])) {
+                *failed = true;
+                return;
+              }
+              if (--(*remaining) == 0) {
+                for (auto& slot : *slots) {
+                  for (auto& chunk : slot) {
+                    self->AccumulateInput(index, std::move(chunk));
+                  }
+                }
+                self->LoadBuildInput(index + 1);
+                return;
+              }
+              (*pump)();
+            });
+      }
+    };
+    (*pump)();
+  }
+
+  bool DecodeShuffleObject(const std::string& key, const Blob& blob,
+                           std::vector<Chunk>* out) {
+    format::FileMeta meta;
+    if (blob.is_synthetic()) {
+      auto found = ec_->catalog->Find(key);
+      if (!found.ok()) {
+        Fail(found.status());
+        return false;
+      }
+      meta = std::move(found).ValueUnsafe();
+    } else {
+      auto parsed = format::ParseFooter(blob.data(), 0,
+                                        static_cast<int64_t>(blob.size()));
+      if (!parsed.ok()) {
+        Fail(parsed.status());
+        return false;
+      }
+      meta = std::move(parsed).ValueUnsafe();
+    }
+    cost_.AddNs(static_cast<double>(blob.size()) *
+                cost_.model().decode_ns_per_byte);
+    std::vector<std::string> projection;
+    for (const auto& f : meta.schema.fields()) projection.push_back(f.name);
+    for (size_t rg = 0; rg < meta.row_groups.size(); ++rg) {
+      std::vector<std::string> column_bytes;
+      for (size_t c = 0; c < projection.size(); ++c) {
+        if (meta.synthetic) {
+          column_bytes.emplace_back();
+        } else {
+          const auto& cm = meta.row_groups[rg].columns[c];
+          column_bytes.push_back(blob.data().substr(
+              static_cast<size_t>(cm.offset), static_cast<size_t>(cm.size)));
+        }
+      }
+      Chunk decoded = chunk_pool_.AcquireRaw();
+      const Status decode_status =
+          format::DecodeRowGroupInto(meta, rg, projection, column_bytes,
+                                     &decoded);
+      if (!decode_status.ok()) {
+        Fail(decode_status);
+        return false;
+      }
+      out->push_back(std::move(decoded));
+    }
+    if (meta.row_groups.empty()) {
+      out->push_back(Chunk::Empty(meta.schema));
+    }
+    return true;
+  }
+
+  void AccumulateInput(size_t index, Chunk&& chunk) {
+    if (!loaded_[index].has_value()) {
+      loaded_[index] = std::move(chunk);
+      return;
+    }
+    loaded_[index]->Append(chunk);
+    chunk_pool_.Release(std::move(chunk));
+  }
+
+  // --- Barrier, then the streamed input drives the pipeline. ---
+
+  void MaybeBarrier() {
+    bool has_barrier = false;
+    for (const auto& op : pipeline_.ops) {
+      if (op.op == "barrier") has_barrier = true;
+    }
+    if (!has_barrier || ec_->queue == nullptr || barrier_participants_ <= 0) {
+      StartStream();
+      return;
+    }
+    const std::string name =
+        StrFormat("%s/p%d/barrier", query_id_.c_str(), pipeline_.id);
+    obs::SpanId barrier_span = obs::kNoSpan;
+    if (tracer_ != nullptr) {
+      barrier_span = tracer_->Begin("worker", "barrier", "engine",
+                                    input_span_);
+    }
+    auto self = shared_from_this();
+    ec_->queue->Arrive(name, barrier_participants_, [self, barrier_span] {
+      if (self->tracer_ != nullptr) self->tracer_->End(barrier_span);
+      self->StartStream();
+    });
+  }
+
+  void StartStream() {
+    std::vector<Chunk> builds;
+    for (size_t i = 1; i < loaded_.size(); ++i) {
+      builds.push_back(loaded_[i].has_value() ? std::move(*loaded_[i])
+                                              : Chunk::Empty(data::Schema()));
+    }
+    executor_ = std::make_unique<FragmentPipeline>(
+        pipeline_, std::move(builds), &cost_, &memory_, ec_->morsel_rows,
+        &chunk_pool_);
+    if (pipeline_.inputs.empty()) {
+      StreamEof();
+      return;
+    }
+    if (pipeline_.inputs[0].type == InputSpec::Type::kTable) {
+      StreamTableInput();
+    } else {
+      StreamShuffleInput();
+    }
+  }
+
+  // --- Streamed table input: per-row-group ranged reads, decoded and
+  // pushed in (file, row group) order while later reads are in flight. ---
+
+  void StreamTableInput() {
+    stream_files_ = std::make_shared<std::vector<TableFileAssignment>>(
+        assignments_[0].files);
+    StreamNextFile(0);
+  }
+
+  void StreamNextFile(size_t file_index) {
+    if (file_index >= stream_files_->size()) {
+      StreamEof();
+      return;
+    }
+    const TableFileAssignment& file = (*stream_files_)[file_index];
+    auto self = shared_from_this();
+    FetchFooter(file, [self, file_index](format::FileMeta meta) {
+      self->StreamFileColumns(file_index, std::move(meta));
+    });
+  }
+
+  void StreamFileColumns(size_t file_index, format::FileMeta meta) {
+    const InputSpec& spec = pipeline_.inputs[0];
+    stream_meta_ = std::make_shared<format::FileMeta>(std::move(meta));
+    stream_projection_ = ProjectionFor(spec, *stream_meta_);
+    stream_survivors_ = PruneRowGroups(spec, *stream_meta_);
+    {
+      auto projected = stream_meta_->schema.Select(stream_projection_);
+      if (!projected.ok()) {
+        Fail(projected.status());
+        return;
+      }
+      if (!fallback_schema_.has_value()) fallback_schema_ = *projected;
+    }
+    stream_file_index_ = file_index;
+    if (stream_survivors_.empty()) {
+      StreamNextFile(file_index + 1);
+      return;
+    }
+    const size_t cols = stream_projection_.size();
+    const std::string& key = (*stream_files_)[file_index].key;
+    stream_buffers_.assign(stream_survivors_.size() * cols, std::string());
+    stream_synthetic_.assign(stream_survivors_.size() * cols, false);
+    rg_pieces_.assign(stream_survivors_.size(), 0);
+    rg_ready_.assign(stream_survivors_.size(), false);
+    rg_cursor_ = 0;
+    for (size_t slot = 0; slot < stream_survivors_.size(); ++slot) {
+      auto ranges = format::RowGroupColumnRanges(
+          *stream_meta_, stream_survivors_[slot], stream_projection_);
+      if (!ranges.ok()) {
+        Fail(ranges.status());
+        return;
+      }
+      for (size_t c = 0; c < cols; ++c) {
+        ReadOp op{key, (*ranges)[c].offset, (*ranges)[c].size, slot * cols + c,
+                  0};
+        // Split oversized ranges into parallel chunked requests.
+        while (op.length > ec_->range_chunk_bytes) {
+          ReadOp piece = op;
+          piece.length = ec_->range_chunk_bytes;
+          stream_pending_.push_back(piece);
+          ++rg_pieces_[slot];
+          op.offset += ec_->range_chunk_bytes;
+          op.buffer_offset += ec_->range_chunk_bytes;
+          op.length -= ec_->range_chunk_bytes;
+        }
+        if (op.length > 0) {
+          stream_pending_.push_back(op);
+          ++rg_pieces_[slot];
+        }
+      }
+      if (rg_pieces_[slot] == 0) rg_ready_[slot] = true;
+    }
+    AdvanceRowGroupCursor();
+    PumpStreamReads();
+  }
+
+  void PumpStreamReads() {
+    auto self = shared_from_this();
+    while (stream_outstanding_ < ec_->max_concurrent_requests &&
+           !stream_pending_.empty()) {
+      ReadOp op = stream_pending_.front();
+      stream_pending_.pop_front();
+      ++stream_outstanding_;
+      table_client_->GetRange(op.key, op.offset, op.length, storage_ctx_,
+                              [self, op](Result<Blob> result) {
+                                self->OnStreamRead(op, std::move(result));
+                              });
+    }
+  }
+
+  void OnStreamRead(const ReadOp& op, Result<Blob> result) {
+    --stream_outstanding_;
+    if (done_) return;
+    if (!result.ok()) {
+      Fail(result.status());
+      return;
+    }
+    bytes_read_ += result->size();
+    cost_.AddNs(static_cast<double>(result->size()) *
+                cost_.model().decode_ns_per_byte);
+    if (result->is_synthetic()) {
+      stream_synthetic_[op.buffer] = true;
+    } else {
+      std::string& buffer = stream_buffers_[op.buffer];
+      const size_t end = static_cast<size_t>(op.buffer_offset) +
+                         result->data().size();
+      if (buffer.size() < end) buffer.resize(end);
+      result->data().copy(buffer.data() + op.buffer_offset,
+                          result->data().size());
+    }
+    const size_t slot = op.buffer / stream_projection_.size();
+    if (--rg_pieces_[slot] == 0) {
+      rg_ready_[slot] = true;
+      AdvanceRowGroupCursor();
+    }
+    if (!done_) PumpStreamReads();
+  }
+
+  /// Decodes + pushes every ready row group at the front of the in-order
+  /// cursor, then moves to the next file once this one is fully decoded.
+  void AdvanceRowGroupCursor() {
+    const size_t cols = stream_projection_.size();
+    while (rg_cursor_ < stream_survivors_.size() && rg_ready_[rg_cursor_]) {
+      std::vector<std::string> column_bytes;
+      column_bytes.reserve(cols);
+      for (size_t c = 0; c < cols; ++c) {
+        column_bytes.push_back(
+            std::move(stream_buffers_[rg_cursor_ * cols + c]));
+      }
+      Chunk decoded = chunk_pool_.AcquireRaw();
+      const Status decode_status = format::DecodeRowGroupInto(
+          *stream_meta_, stream_survivors_[rg_cursor_], stream_projection_,
+          column_bytes, &decoded);
+      if (!decode_status.ok()) {
+        Fail(decode_status);
+        return;
+      }
+      auto filtered = ApplyPushdown(pipeline_.inputs[0], std::move(decoded));
+      if (!filtered.ok()) {
+        Fail(filtered.status());
+        return;
+      }
+      ++rg_cursor_;
+      Enqueue(std::move(filtered).ValueUnsafe());
+    }
+    if (!stream_survivors_.empty() &&
+        rg_cursor_ == stream_survivors_.size()) {
+      stream_survivors_.clear();
+      rg_cursor_ = 0;
+      StreamNextFile(stream_file_index_ + 1);
+    }
+  }
+
+  // --- Streamed shuffle input: bounded GETs, decoded per upstream fragment
+  // and pushed in fragment order as the completion cursor advances. ---
+
+  void StreamShuffleInput() {
+    const int count = assignments_[0].upstream_fragments;
+    if (count == 0) {
+      StreamEof();
+      return;
+    }
+    shuffle_slots_.assign(static_cast<size_t>(count), {});
+    shuffle_done_.assign(static_cast<size_t>(count), false);
+    shuffle_cursor_ = 0;
+    shuffle_next_ = 0;
+    PumpShuffleStream(count);
+  }
+
+  void PumpShuffleStream(int count) {
+    const int upstream = pipeline_.inputs[0].upstream_pipeline;
+    auto self = shared_from_this();
+    while (shuffle_outstanding_ < ec_->max_concurrent_requests &&
+           shuffle_next_ < count) {
+      const int uf = shuffle_next_++;
+      ++shuffle_outstanding_;
+      const std::string key = ShuffleKey(query_id_, upstream, uf, fragment_);
+      shuffle_client_->Get(
+          key, storage_ctx_, [self, key, uf, count](Result<Blob> result) {
+            --self->shuffle_outstanding_;
+            if (self->done_) return;
+            if (!result.ok()) {
+              self->Fail(result.status());
+              return;
+            }
+            self->bytes_read_ += result->size();
+            if (!self->DecodeShuffleObject(
+                    key, *result,
+                    &self->shuffle_slots_[static_cast<size_t>(uf)])) {
+              return;
+            }
+            self->shuffle_done_[static_cast<size_t>(uf)] = true;
+            self->AdvanceShuffleCursor(count);
+            if (!self->done_) self->PumpShuffleStream(count);
+          });
+    }
+  }
+
+  void AdvanceShuffleCursor(int count) {
+    while (shuffle_cursor_ < count &&
+           shuffle_done_[static_cast<size_t>(shuffle_cursor_)]) {
+      for (auto& chunk : shuffle_slots_[static_cast<size_t>(shuffle_cursor_)]) {
+        Enqueue(std::move(chunk));
+      }
+      shuffle_slots_[static_cast<size_t>(shuffle_cursor_)].clear();
+      ++shuffle_cursor_;
+    }
+    if (shuffle_cursor_ == count) StreamEof();
+  }
+
+  // --- The compute pump: one morsel per Compute hop, charged as the
+  // cumulative cost delta so total CPU equals the materialized path. ---
+
+  void Enqueue(Chunk&& morsel) {
+    ++morsels_seen_;
+    morsels_.push_back(std::move(morsel));
+    PumpCompute();
+  }
+
+  void StreamEof() {
+    // Zero-morsel streams (e.g. every row group pruned) still run the chain
+    // once over an empty batch with the projected schema, as the
+    // materialized path did.
+    if (morsels_seen_ == 0 && fallback_schema_.has_value()) {
+      morsels_.push_back(Chunk::Empty(*fallback_schema_));
+    }
+    stream_eof_ = true;
+    input_done_ = Now();
+    if (tracer_ != nullptr) {
+      tracer_->SetArg(input_span_, "bytes_read", Json(bytes_read_));
+      tracer_->End(input_span_);
+      compute_span_ = tracer_->Begin("worker", "compute", "engine",
+                                     fctx_->span());
+      tracer_->SetArg(compute_span_, "fragment", Json(fragment_));
+      storage_ctx_.span = compute_span_;
+    }
+    PumpCompute();
+  }
+
+  void PumpCompute() {
+    if (done_ || computing_ || finished_ || executor_ == nullptr) return;
+    if (morsels_.empty()) {
+      if (stream_eof_) FinishPipeline();
+      return;
+    }
+    Chunk morsel = std::move(morsels_.front());
+    morsels_.pop_front();
+    Status pushed = executor_->Push(std::move(morsel));
+    if (!pushed.ok()) {
+      Fail(std::move(pushed));
+      return;
+    }
+    computing_ = true;
+    auto self = shared_from_this();
+    ChargeCompute([self] {
+      self->computing_ = false;
+      self->PumpCompute();
+    });
+  }
+
+  /// Sleeps for the not-yet-charged share of the accumulated CPU cost. The
+  /// cumulative-delta scheme telescopes: total charged time equals
+  /// Duration(total cost) regardless of how many batches it was split over.
+  void ChargeCompute(std::function<void()> then) {
+    const SimDuration total = cost_.Duration(fctx_->config().vcpus());
+    const SimDuration delta = total - charged_;
+    charged_ = total;
+    fctx_->Compute(delta, std::move(then));
+  }
+
+  void FinishPipeline() {
+    finished_ = true;
+    auto outputs = executor_->Finish();
+    if (!outputs.ok()) {
+      Fail(outputs.status());
+      return;
+    }
+    auto outs = std::make_shared<std::vector<FragmentOutput>>(
+        std::move(*outputs));
+    auto self = shared_from_this();
+    ChargeCompute([self, outs] {
+      self->compute_done_ = self->Now();
+      if (self->tracer_ != nullptr) {
+        self->tracer_->SetArg(self->compute_span_, "batches",
+                              Json(self->executor_->batches()));
+        self->tracer_->SetArg(self->compute_span_, "morsels",
+                              Json(self->morsels_seen_));
+        self->tracer_->SetArg(self->compute_span_, "peak_memory_bytes",
+                              Json(self->memory_.peak()));
+        self->tracer_->End(self->compute_span_);
+        self->output_span_ = self->tracer_->Begin("worker", "output", "engine",
+                                                  self->fctx_->span());
+        self->tracer_->SetArg(self->output_span_, "fragment",
+                              Json(self->fragment_));
+        self->storage_ctx_.span = self->output_span_;
+      }
+      self->WriteOutputs(outs);
+    });
+  }
+
+  void WriteOutputs(std::shared_ptr<std::vector<FragmentOutput>> outputs) {
+    if (outputs->empty()) {
+      Respond();
+      return;
+    }
+    // Encode all outputs (CPU already accounted), then write them with
+    // bounded concurrency — an unbounded PUT volley against a cold bucket
+    // would immediately exceed the write-IOPS envelope for every worker.
+    struct PendingWrite {
+      std::string key;
+      Blob blob;
+    };
+    auto writes = std::make_shared<std::vector<PendingWrite>>();
+    for (auto& output : *outputs) {
+      std::string key;
+      if (output.partition < 0) {
+        key = ResultKey(query_id_);
+      } else {
+        key = ShuffleKey(query_id_, pipeline_.id, fragment_,
+                         output.partition);
+      }
+      Blob blob;
+      if (output.chunk.is_synthetic()) {
+        const int64_t encoded =
+            std::max<int64_t>(static_cast<int64_t>(
+                                  static_cast<double>(output.chunk.ByteSize()) *
+                                  0.55),
+                              64) +
+            format::kCofTrailerSize;
+        format::FileMeta meta = format::BuildSyntheticFileMeta(
+            output.chunk.schema(), output.chunk.rows(), encoded, 1 << 20, {});
+        ec_->catalog->Register(key, std::move(meta));
+        blob = Blob::Synthetic(encoded);
+      } else {
+        std::string bytes =
+            format::WriteCofFile(output.chunk.schema(), {output.chunk});
+        cost_.AddNs(static_cast<double>(bytes.size()) *
+                    cost_.model().encode_ns_per_byte);
+        blob = Blob::FromString(std::move(bytes));
+      }
+      bytes_written_ += blob.size();
+      rows_out_ += output.chunk.rows();
+      writes->push_back(PendingWrite{std::move(key), std::move(blob)});
+    }
+
+    auto self = shared_from_this();
+    auto remaining = std::make_shared<int>(static_cast<int>(writes->size()));
+    auto next = std::make_shared<size_t>(0);
+    auto outstanding = std::make_shared<int>(0);
+    auto failed = std::make_shared<bool>(false);
+    auto pump = std::make_shared<std::function<void()>>();
+    *pump = [self, writes, remaining, next, outstanding, failed, pump] {
+      while (*outstanding < self->ec_->max_concurrent_requests &&
+             *next < writes->size()) {
+        PendingWrite& w = (*writes)[(*next)++];
+        ++(*outstanding);
+        self->shuffle_client_->Put(
+            w.key, std::move(w.blob), self->storage_ctx_,
+            [self, remaining, outstanding, failed, pump](Status status) {
+              --(*outstanding);
+              if (*failed) return;
+              if (!status.ok()) {
+                *failed = true;
+                self->Fail(status);
+                return;
+              }
+              if (--(*remaining) == 0) {
+                self->Respond();
+                return;
+              }
+              (*pump)();
+            });
+      }
+    };
+    (*pump)();
+  }
+
+  void Respond() {
+    if (done_) return;
+    done_ = true;
+    if (tracer_ != nullptr) {
+      tracer_->SetArg(output_span_, "bytes_written", Json(bytes_written_));
+      tracer_->SetArg(output_span_, "rows_out", Json(rows_out_));
+      tracer_->End(output_span_);
+    }
+    // Phase timings live in the trace and the metrics registry; the response
+    // carries only the fields the coordinator aggregates.
+    if (metrics_ != nullptr) {
+      metrics_->Add("worker.fragments");
+      metrics_->Record("worker.input_ms", ToMillis(input_done_ - start_));
+      metrics_->Record("worker.compute_ms",
+                       ToMillis(compute_done_ - input_done_));
+      metrics_->Record("worker.output_ms", ToMillis(Now() - compute_done_));
+      metrics_->Record("worker.duration_ms", ToMillis(Now() - start_));
+      metrics_->Max("worker.peak_memory_bytes", memory_.peak());
+    }
+    Json response = Json::Object();
+    response["fragment"] = fragment_;
+    response["rows_out"] = rows_out_;
+    response["bytes_read"] = bytes_read_;
+    response["bytes_written"] = bytes_written_;
+    response["requests"] = table_client_->stats().attempts +
+                           shuffle_client_->stats().attempts;
+    response["cold_start"] = fctx_->cold_start();
+    response["duration_ms"] = ToMillis(Now() - start_);
+    response["peak_memory_bytes"] = memory_.peak();
+    response["batches"] = executor_ != nullptr ? executor_->batches() : 0;
+    fctx_->Finish(std::move(response));
+  }
+
+  EngineContext* ec_;
+  // The sandbox this worker runs in; mutations go through the sandbox
+  // lifecycle API crossings.
+  // skyrise-check: allow(domain-escape) — sandbox handle, crossings only.
+  std::shared_ptr<faas::FunctionContext> fctx_;
+  obs::Tracer* tracer_ = nullptr;
+  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::SpanId input_span_ = obs::kNoSpan;
+  obs::SpanId compute_span_ = obs::kNoSpan;
+  obs::SpanId output_span_ = obs::kNoSpan;
+  CostAccumulator cost_;
+  MemoryTracker memory_;
+  // Client stubs for the storage crossings (RetryClient::GetRange/Put).
+  // skyrise-check: allow(domain-escape) — client stub for a crossing API.
+  std::unique_ptr<storage::RetryClient> table_client_;
+  // skyrise-check: allow(domain-escape) — client stub, see table_client_.
+  std::unique_ptr<storage::RetryClient> shuffle_client_;
+  storage::ClientContext storage_ctx_;
+  PipelineSpec pipeline_;
+  std::string query_id_;
+  int fragment_ = 0;
+  int barrier_participants_ = 0;
+  std::vector<WorkerInputAssignment> assignments_;
+  std::vector<std::optional<Chunk>> loaded_;  ///< Build-side inputs.
+
+  // Streaming state for input 0.
+  /// Per-task recycling pool: decoded row groups, pushdown-spent inputs, and
+  /// pipeline morsels all share one free list (single-threaded on the sim
+  /// event loop).
+  data::ChunkPool chunk_pool_;
+  std::unique_ptr<FragmentPipeline> executor_;
+  std::deque<Chunk> morsels_;
+  int64_t morsels_seen_ = 0;
+  bool computing_ = false;
+  bool finished_ = false;
+  bool stream_eof_ = false;
+  SimDuration charged_ = 0;
+  std::optional<data::Schema> fallback_schema_;
+  std::shared_ptr<std::vector<TableFileAssignment>> stream_files_;
+  size_t stream_file_index_ = 0;
+  std::shared_ptr<format::FileMeta> stream_meta_;
+  std::vector<std::string> stream_projection_;
+  std::vector<size_t> stream_survivors_;
+  std::deque<ReadOp> stream_pending_;
+  std::vector<std::string> stream_buffers_;
+  std::vector<bool> stream_synthetic_;
+  std::vector<int> rg_pieces_;
+  std::vector<bool> rg_ready_;
+  size_t rg_cursor_ = 0;
+  int stream_outstanding_ = 0;
+  std::vector<std::vector<Chunk>> shuffle_slots_;
+  std::vector<bool> shuffle_done_;
+  int shuffle_cursor_ = 0;
+  int shuffle_next_ = 0;
+  int shuffle_outstanding_ = 0;
+
+  SimTime start_ = 0;
+  SimTime input_done_ = 0;
+  SimTime compute_done_ = 0;
+  int64_t bytes_read_ = 0;
+  int64_t bytes_written_ = 0;
+  int64_t rows_out_ = 0;
+  bool done_ = false;
+};
+
+}  // namespace
+
+faas::FunctionHandler MakeWorkerHandler(EngineContext* context) {
+  return [context](const std::shared_ptr<faas::FunctionContext>& fctx) {
+    auto task = std::make_shared<WorkerTask>(context, fctx);
+    task->Run();
+  };
+}
+
+Json WorkerPayload(const std::string& query_id, const PipelineSpec& pipeline,
+                   int fragment,
+                   const std::vector<WorkerInputAssignment>& inputs) {
+  Json payload = Json::Object();
+  payload["query_id"] = query_id;
+  payload["pipeline"] = pipeline.ToJson();
+  payload["fragment"] = fragment;
+  Json input_list = Json::Array();
+  for (const auto& input : inputs) {
+    Json in = Json::Object();
+    Json files = Json::Array();
+    for (const auto& f : input.files) {
+      Json file = Json::Object();
+      file["key"] = f.key;
+      file["size"] = f.size;
+      files.Append(std::move(file));
+    }
+    in["files"] = std::move(files);
+    in["upstream_fragments"] = input.upstream_fragments;
+    input_list.Append(std::move(in));
+  }
+  payload["inputs"] = std::move(input_list);
+  return payload;
+}
+
+}  // namespace skyrise::engine

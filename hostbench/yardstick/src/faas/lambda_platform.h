@@ -1,0 +1,161 @@
+#pragma once
+
+#include <deque>
+#include <map>
+#include <memory>
+#include <vector>
+
+#include "faas/function.h"
+#include "pricing/cost_meter.h"
+#include "sim/fault_injector.h"
+#include "storage/latency_model.h"
+
+/// \file lambda_platform.h
+/// AWS Lambda platform simulator following the Fig. 1 architecture:
+///
+///   request -> frontend (routing latency)
+///           -> admission (account concurrency quota)
+///           -> burst/ramp scaling (3,000 burst + 500/min)
+///           -> assignment (warm sandbox lookup)
+///           -> placement (coldstart: sandbox creation + binary download +
+///              runtime init, scaled by binary size)
+///           -> execution in a sandbox owning a LambdaNic
+///
+/// Warm sandboxes are reaped after a sampled idle lifetime; their NICs keep
+/// their (idle-refilled) burst budgets across invocations. Asynchronous
+/// invocations pass through the polling service and pay extra latency.
+
+// skyrise-domain(sandbox-fleet)
+namespace skyrise::faas {
+
+class LambdaPlatform : public ComputePlatform {
+ public:
+  struct Options {
+    int account_concurrency = 1000;  ///< Paper's quota raise: 10,000.
+    int burst_concurrency = 3000;
+    double scale_rate_per_minute = 500;
+
+    // Coldstart model (the blue path in Fig. 1).
+    SimDuration coldstart_base = Millis(140);  ///< Sandbox creation.
+    double binary_init_rate = 40.0 * kMiB;     ///< Download+init bytes/s.
+    SimDuration runtime_init = Millis(45);
+    double coldstart_sigma = 0.35;  ///< Lognormal multiplier spread.
+    /// Rare placement stragglers (multi-second coldstarts).
+    double coldstart_straggler_probability = 0.004;
+    double coldstart_straggler_scale_ms = 1500;
+    double coldstart_straggler_alpha = 1.6;
+
+    // Warm path and routing.
+    storage::LatencyProfile frontend_latency;   ///< Per-hop routing.
+    storage::LatencyProfile warm_overhead;      ///< Sandbox dispatch.
+    SimDuration async_poll_latency = Millis(35);
+
+    // Sandbox idle lifetime before reaping (minutes-scale, heavy spread).
+    SimDuration idle_lifetime_median = Minutes(7);
+    double idle_lifetime_sigma = 0.5;
+
+    /// Regional contention multiplier on coldstart/ramp (Table 5: the EU
+    /// region starts large clusters ~1.5x slower).
+    double region_contention = 1.0;
+
+    uint64_t rng_stream = 3001;
+
+    Options();
+  };
+
+  struct Stats {
+    int64_t invocations = 0;
+    int64_t cold_starts = 0;
+    int64_t warm_starts = 0;
+    int64_t throttles = 0;
+    int64_t reaped_sandboxes = 0;
+    int64_t errors = 0;
+    int64_t timeouts = 0;  ///< Executions killed at FunctionConfig::timeout.
+    int64_t crashes = 0;   ///< Injected function crashes / sandbox kills.
+    // Fleet accounting (serving scenarios share one fleet across tenants).
+    int64_t sandboxes_created = 0;  ///< Coldstarts + prewarms.
+    int64_t active_peak = 0;        ///< Max concurrent executions observed.
+    int64_t warm_pool_peak = 0;     ///< Max idle warm sandboxes observed.
+  };
+
+  LambdaPlatform(sim::SimEnvironment* env, net::FabricDriver* fabric,
+                 FunctionRegistry* registry, const Options& options);
+  SKYRISE_DISALLOW_COPY_AND_ASSIGN(LambdaPlatform);
+
+  const std::string& platform_name() const override { return name_; }
+
+  /// Synchronous (request/response) invocation.
+  void Invoke(const std::string& function, Json payload,
+              ResponseCallback callback) override;
+
+  /// Asynchronous/event invocation: routed via the polling service.
+  void InvokeAsync(const std::string& function, Json payload,
+                   ResponseCallback callback);
+
+  int active_executions() const { return active_; }
+  int WarmSandboxCount(const std::string& function) const;
+  const Stats& stats() const { return stats_; }
+  pricing::CostMeter* meter() { return &meter_; }
+  const Options& options() const { return opt_; }
+
+  /// Pre-warms `count` sandboxes (used by warm-start experiment setups).
+  void Prewarm(const std::string& function, int count);
+
+  /// Installs a fault injector: executions may crash mid-flight (optionally
+  /// losing their sandbox) and invocations may pick up latency spikes.
+  void set_fault_injector(sim::FaultInjector* injector) {
+    fault_injector_ = injector;
+  }
+
+  /// Emits the invocation lifecycle (frontend routing, throttles, warm
+  /// dispatch / coldstart, execution, sandbox reaping) as spans on track
+  /// "lambda" and mirrors Stats onto "lambda.*" counters.
+  void set_observer(obs::Tracer* tracer, obs::MetricsRegistry* metrics) override {
+    tracer_ = tracer;
+    metrics_ = metrics;
+  }
+
+ private:
+  struct Sandbox {
+    // The sandbox's attachment; idle signals use the NotifyIdle crossing.
+    // skyrise-check: allow(domain-escape) — NIC attachment, crossings only.
+    std::unique_ptr<net::LambdaNic> nic;
+    sim::EventId reap_event = sim::kInvalidEventId;
+    uint64_t id = 0;
+    /// Executions served over this sandbox's lifetime; recorded to the
+    /// "lambda.sandbox_uses" histogram at reap time, so warm-pool reuse
+    /// across interleaved queries/tenants is measurable.
+    int64_t uses = 0;
+  };
+
+  void DoInvoke(const std::string& function, Json payload,
+                ResponseCallback callback, SimDuration extra_latency);
+  void Execute(const FunctionRegistry::Entry& entry,
+               std::shared_ptr<Sandbox> sandbox, Json payload, bool cold,
+               obs::SpanId invoke_span, ResponseCallback callback);
+  void ReleaseSandbox(const std::string& function,
+                      std::shared_ptr<Sandbox> sandbox);
+  SimDuration SampleColdstart(const FunctionConfig& config);
+  int CurrentScaleLimit();
+
+  sim::SimEnvironment* env_;
+  // The platform's attachment; transfers use the StartTransfer crossing.
+  // skyrise-check: allow(domain-escape) — NIC attachment, crossings only.
+  net::FabricDriver* fabric_;
+  FunctionRegistry* registry_;
+  Options opt_;
+  Rng rng_;
+  sim::FaultInjector* fault_injector_ = nullptr;
+  obs::Tracer* tracer_ = nullptr;
+  obs::MetricsRegistry* metrics_ = nullptr;
+  std::string name_ = "lambda";
+  std::map<std::string, std::deque<std::shared_ptr<Sandbox>>> warm_pool_;
+  int active_ = 0;
+  int warm_total_ = 0;
+  SimTime ramp_start_ = -1;
+  uint64_t next_sandbox_id_ = 1;
+  Stats stats_;
+  pricing::CostMeter meter_;
+};
+
+}  // namespace skyrise::faas

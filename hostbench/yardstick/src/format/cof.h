@@ -1,0 +1,154 @@
+#pragma once
+
+#include <map>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "common/json.h"
+#include "data/chunk.h"
+
+/// \file cof.h
+/// COF — Columnar Object Format. A Parquet/ORC-style immutable columnar file
+/// used for base tables and shuffle intermediates:
+///
+///   [row group 0: col chunk 0, col chunk 1, ...]
+///   [row group 1: ...]
+///   [JSON footer: schema, per-row-group column offsets/sizes, min/max]
+///   [footer length: 4 bytes LE][magic "COF1"]
+///
+/// Readers fetch the footer with a single trailing range request, prune row
+/// groups by min/max statistics (selection pushdown), and fetch only the
+/// column chunks a query projects (projection pushdown) — the Section 3.2
+/// access pattern on cloud object storage.
+///
+/// For paper-scale experiments a file can be *synthetic*: the footer is
+/// materialized, the data region is a size without content, and scans yield
+/// synthetic chunks (row counts only) through the same request sequence.
+
+namespace skyrise::format {
+
+struct ColumnChunkMeta {
+  int64_t offset = 0;  ///< Absolute file offset.
+  int64_t size = 0;
+  /// Min/max for numeric/date columns (unset for strings).
+  std::optional<double> min;
+  std::optional<double> max;
+};
+
+struct RowGroupMeta {
+  int64_t rows = 0;
+  std::vector<ColumnChunkMeta> columns;  ///< One per schema field.
+};
+
+struct FileMeta {
+  data::Schema schema;
+  std::vector<RowGroupMeta> row_groups;
+  int64_t data_size = 0;  ///< Bytes before the footer.
+  bool synthetic = false;
+
+  int64_t TotalRows() const;
+  Json ToJson() const;
+  [[nodiscard]] static Result<FileMeta> FromJson(const Json& json);
+};
+
+constexpr int64_t kCofTrailerSize = 8;  ///< Footer length + magic.
+/// Readers fetch this much from the file tail to get trailer + footer in one
+/// request for typical footers.
+constexpr int64_t kFooterFetchSize = 16 * 1024;
+
+class CofWriter {
+ public:
+  /// `row_group_rows`: target rows per row group.
+  explicit CofWriter(data::Schema schema, int64_t row_group_rows = 65536);
+
+  /// Appends a materialized chunk (split across row groups as needed).
+  [[nodiscard]] Status Append(const data::Chunk& chunk);
+
+  /// Finalizes and returns the file bytes.
+  std::string Finish();
+
+ private:
+  void FlushRowGroup();
+
+  data::Schema schema_;
+  int64_t row_group_rows_;
+  data::Chunk buffer_;
+  std::string data_;
+  std::vector<RowGroupMeta> row_groups_;
+};
+
+/// Serializes a materialized table in one call.
+std::string WriteCofFile(const data::Schema& schema,
+                         const std::vector<data::Chunk>& chunks,
+                         int64_t row_group_rows = 65536);
+
+/// Builds the footer for a synthetic file of `rows` rows and roughly
+/// `target_bytes` of data, with per-column min/max ranges supplied by
+/// `stats` (nullptr => no stats). Returns (footer-only file bytes to attach,
+/// total synthetic file size). The returned FileMeta describes the file.
+struct SyntheticColumnStats {
+  std::string column;
+  double min = 0;
+  double max = 0;
+};
+
+FileMeta BuildSyntheticFileMeta(const data::Schema& schema, int64_t rows,
+                                int64_t target_bytes, int64_t row_group_rows,
+                                const std::vector<SyntheticColumnStats>& stats);
+
+/// Parses a footer from the trailing `tail` bytes of a file of `file_size`
+/// bytes. `tail_offset` is the file offset where `tail` begins.
+[[nodiscard]] Result<FileMeta> ParseFooter(const std::string& tail, int64_t tail_offset,
+                             int64_t file_size);
+
+/// One ranged read needed to fetch a projected column chunk of a row group.
+struct ColumnRange {
+  int64_t offset = 0;  ///< Absolute file offset.
+  int64_t size = 0;
+};
+
+/// The ranged reads needed to decode row group `row_group` restricted to
+/// `projection` (in projection order) — the unit of incremental, per-row-group
+/// fetching. Synthetic files report the same ranges so the request sequence
+/// matches the real layout.
+[[nodiscard]] Result<std::vector<ColumnRange>> RowGroupColumnRanges(
+    const FileMeta& meta, size_t row_group,
+    const std::vector<std::string>& projection);
+
+/// Decodes one row group (selected columns, in `projection` order) from
+/// per-column chunk bytes.
+[[nodiscard]] Result<data::Chunk> DecodeRowGroup(
+    const FileMeta& meta, size_t row_group,
+    const std::vector<std::string>& projection,
+    const std::vector<std::string>& column_bytes);
+
+/// Decode-into variant: reshapes `out` to the projected schema and decodes
+/// each column chunk into its reused buffers (see format::DecodeColumnInto).
+/// With a pooled `out` chunk, steady-state row-group decode performs no
+/// column-vector allocations. Synthetic files reset `out` to a synthetic
+/// chunk. On error `out`'s contents are unspecified.
+[[nodiscard]] Status DecodeRowGroupInto(
+    const FileMeta& meta, size_t row_group,
+    const std::vector<std::string>& projection,
+    const std::vector<std::string>& column_bytes, data::Chunk* out);
+
+/// Registry of synthetic file footers, consulted by readers when the stored
+/// blob carries no real bytes. Keyed by the storage key.
+class SyntheticFileCatalog {
+ public:
+  void Register(const std::string& key, FileMeta meta) {
+    files_[key] = std::move(meta);
+  }
+  [[nodiscard]] Result<FileMeta> Find(const std::string& key) const {
+    auto it = files_.find(key);
+    if (it == files_.end()) return Status::NotFound("no synthetic meta: " + key);
+    return it->second;
+  }
+  bool Contains(const std::string& key) const { return files_.count(key) > 0; }
+
+ private:
+  std::map<std::string, FileMeta> files_;
+};
+
+}  // namespace skyrise::format

@@ -1,0 +1,224 @@
+#include "format/encoding.h"
+
+#include <cstring>
+#include <map>
+
+namespace skyrise::format {
+
+void PutVarint(std::string* out, uint64_t v) {
+  while (v >= 0x80) {
+    out->push_back(static_cast<char>((v & 0x7F) | 0x80));
+    v >>= 7;
+  }
+  out->push_back(static_cast<char>(v));
+}
+
+Result<uint64_t> GetVarint(const std::string& in, size_t* pos) {
+  uint64_t v = 0;
+  int shift = 0;
+  while (*pos < in.size() && shift <= 63) {
+    const uint8_t byte = static_cast<uint8_t>(in[(*pos)++]);
+    v |= static_cast<uint64_t>(byte & 0x7F) << shift;
+    if ((byte & 0x80) == 0) return v;
+    shift += 7;
+  }
+  return Status::IoError("truncated varint");
+}
+
+uint64_t ZigzagEncode(int64_t v) {
+  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
+}
+
+int64_t ZigzagDecode(uint64_t v) {
+  return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
+}
+
+ColumnEncoding EncodeColumn(const data::Column& column, std::string* out) {
+  using data::DataType;
+  switch (column.type()) {
+    case DataType::kDouble: {
+      out->push_back(static_cast<char>(ColumnEncoding::kDoubleRaw));
+      const auto& vals = column.doubles();
+      const size_t base = out->size();
+      out->resize(base + vals.size() * 8);
+      std::memcpy(out->data() + base, vals.data(), vals.size() * 8);
+      return ColumnEncoding::kDoubleRaw;
+    }
+    case DataType::kString: {
+      const auto& vals = column.strings();
+      // Count distinct values (bail out once clearly high-cardinality).
+      std::map<std::string, uint32_t> dict;
+      for (const auto& s : vals) {
+        dict.emplace(s, 0);
+        if (dict.size() > 255) break;
+      }
+      if (dict.size() <= 255 && !vals.empty()) {
+        out->push_back(static_cast<char>(ColumnEncoding::kStringDict));
+        uint32_t next = 0;
+        for (auto& [key, id] : dict) id = next++;
+        PutVarint(out, dict.size());
+        for (const auto& [key, id] : dict) {
+          PutVarint(out, key.size());
+          out->append(key);
+        }
+        for (const auto& s : vals) {
+          out->push_back(static_cast<char>(dict[s]));
+        }
+        return ColumnEncoding::kStringDict;
+      }
+      out->push_back(static_cast<char>(ColumnEncoding::kStringPlain));
+      for (const auto& s : vals) {
+        PutVarint(out, s.size());
+        out->append(s);
+      }
+      return ColumnEncoding::kStringPlain;
+    }
+    default: {  // kInt64 / kDate.
+      out->push_back(static_cast<char>(ColumnEncoding::kIntDelta));
+      int64_t prev = 0;
+      for (int64_t v : column.ints()) {
+        PutVarint(out, ZigzagEncode(v - prev));
+        prev = v;
+      }
+      return ColumnEncoding::kIntDelta;
+    }
+  }
+}
+
+namespace {
+
+/// Pointer-walking varint decode over a contiguous span; returns the
+/// position past the varint, or nullptr on truncation/overflow. The caller
+/// handles the one-byte fast path inline, so this only runs for multi-byte
+/// values.
+inline const uint8_t* GetVarintSpan(const uint8_t* p, const uint8_t* end,
+                                    uint64_t* out) {
+  uint64_t v = 0;
+  int shift = 0;
+  while (p < end && shift <= 63) {
+    const uint8_t byte = *p++;
+    v |= static_cast<uint64_t>(byte & 0x7F) << shift;
+    if ((byte & 0x80) == 0) {
+      *out = v;
+      return p;
+    }
+    shift += 7;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+Status DecodeColumnInto(const char* data, size_t size, data::DataType type,
+                        int64_t rows, data::Column* out) {
+  using data::DataType;
+  if (size == 0) return Status::IoError("empty column chunk");
+  if (out->type() != type) out->Reset(type);
+  const auto encoding = static_cast<ColumnEncoding>(data[0]);
+  const uint8_t* p = reinterpret_cast<const uint8_t*>(data) + 1;
+  const uint8_t* const end = reinterpret_cast<const uint8_t*>(data) + size;
+  switch (encoding) {
+    case ColumnEncoding::kDoubleRaw: {
+      if (type != DataType::kDouble) {
+        return Status::IoError("encoding/type mismatch");
+      }
+      if (static_cast<size_t>(end - p) < static_cast<size_t>(rows) * 8) {
+        return Status::IoError("truncated double chunk");
+      }
+      out->doubles().resize(static_cast<size_t>(rows));
+      std::memcpy(out->doubles().data(), p, static_cast<size_t>(rows) * 8);
+      return Status::OK();
+    }
+    case ColumnEncoding::kStringDict: {
+      if (type != DataType::kString) {
+        return Status::IoError("encoding/type mismatch");
+      }
+      uint64_t dict_size = 0;
+      p = GetVarintSpan(p, end, &dict_size);
+      if (p == nullptr) return Status::IoError("truncated varint");
+      std::vector<std::pair<const char*, size_t>> dict;
+      dict.reserve(dict_size);
+      for (uint64_t i = 0; i < dict_size; ++i) {
+        uint64_t len = 0;
+        p = GetVarintSpan(p, end, &len);
+        if (p == nullptr) return Status::IoError("truncated varint");
+        if (static_cast<size_t>(end - p) < len) {
+          return Status::IoError("truncated dictionary");
+        }
+        dict.emplace_back(reinterpret_cast<const char*>(p), len);
+        p += len;
+      }
+      if (static_cast<size_t>(end - p) < static_cast<size_t>(rows)) {
+        return Status::IoError("truncated dict indices");
+      }
+      auto& strings = out->strings();
+      strings.resize(static_cast<size_t>(rows));
+      for (int64_t i = 0; i < rows; ++i) {
+        const uint8_t id = p[i];
+        if (id >= dict.size()) return Status::IoError("bad dict index");
+        // assign into the existing element: per-string capacity is recycled
+        // across decode calls when the column buffer is pooled.
+        strings[static_cast<size_t>(i)].assign(dict[id].first,
+                                               dict[id].second);
+      }
+      return Status::OK();
+    }
+    case ColumnEncoding::kStringPlain: {
+      if (type != DataType::kString) {
+        return Status::IoError("encoding/type mismatch");
+      }
+      auto& strings = out->strings();
+      strings.resize(static_cast<size_t>(rows));
+      for (int64_t i = 0; i < rows; ++i) {
+        uint64_t len = 0;
+        if (p < end && *p < 0x80) {
+          len = *p++;  // One-byte fast path: typical TPC string lengths.
+        } else {
+          p = GetVarintSpan(p, end, &len);
+          if (p == nullptr) return Status::IoError("truncated varint");
+        }
+        if (static_cast<size_t>(end - p) < len) {
+          return Status::IoError("truncated string");
+        }
+        strings[static_cast<size_t>(i)].assign(
+            reinterpret_cast<const char*>(p), len);
+        p += len;
+      }
+      return Status::OK();
+    }
+    case ColumnEncoding::kIntDelta: {
+      if (type != DataType::kInt64 && type != DataType::kDate) {
+        return Status::IoError("encoding/type mismatch");
+      }
+      auto& ints = out->ints();
+      ints.resize(static_cast<size_t>(rows));
+      int64_t* dst = ints.data();
+      int64_t prev = 0;
+      for (int64_t i = 0; i < rows; ++i) {
+        if (p < end && *p < 0x80) {
+          // One-byte fast path: deltas of sorted keys / small domains.
+          prev += ZigzagDecode(*p++);
+          dst[i] = prev;
+          continue;
+        }
+        uint64_t raw = 0;
+        p = GetVarintSpan(p, end, &raw);
+        if (p == nullptr) return Status::IoError("truncated varint");
+        prev += ZigzagDecode(raw);
+        dst[i] = prev;
+      }
+      return Status::OK();
+    }
+  }
+  return Status::IoError("unknown encoding");
+}
+
+Result<data::Column> DecodeColumn(const std::string& bytes,
+                                  data::DataType type, int64_t rows) {
+  data::Column column(type);
+  SKYRISE_RETURN_IF_ERROR(
+      DecodeColumnInto(bytes.data(), bytes.size(), type, rows, &column));
+  return column;
+}
+
+}  // namespace skyrise::format

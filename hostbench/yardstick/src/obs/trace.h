@@ -1,0 +1,128 @@
+#pragma once
+
+#include <cstdint>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "common/json.h"
+#include "common/result.h"
+#include "sim/environment.h"
+
+/// \file trace.h
+/// Span-based tracing on the simulated clock. Every layer of the stack
+/// (faas invocation lifecycle, storage requests and retries, engine stage/
+/// fragment execution) opens and closes spans against sim::SimEnvironment
+/// time, so a trace is a pure function of (seed, configuration): two runs
+/// with the same seed serialize to byte-identical JSON.
+///
+/// Spans form a tree via explicit parent ids (there is no ambient thread
+/// context in an event-driven simulation; parent ids travel through
+/// ClientContext / FunctionContext / invocation payloads). Each span carries
+/// the exact USD cost the CostMeter charged while it was the attribution
+/// target, so per-span costs reconcile against the meter totals.
+///
+/// Export is Chrome trace-event JSON ("X" complete slices plus "i" instant
+/// markers), loadable in Perfetto / chrome://tracing. The schema is
+/// documented field-by-field in DESIGN.md §10 and enforced by
+/// tools/trace_check in CI.
+
+namespace skyrise::obs {
+
+/// Span handle. 0 (`kNoSpan`) means "no enclosing span"; every Tracer
+/// method accepts it and degrades to a no-op (or, for cost attribution,
+/// books into the "unattributed" bucket).
+using SpanId = int64_t;
+inline constexpr SpanId kNoSpan = 0;
+
+struct Span {
+  SpanId id = kNoSpan;
+  SpanId parent = kNoSpan;
+  /// Display track (one Chrome-trace "process" per distinct name), e.g.
+  /// "lambda", "storage/s3", "worker".
+  std::string track;
+  std::string name;
+  /// Cost/metric bucket: "faas", "storage", "engine", ...
+  std::string category;
+  SimTime start = 0;
+  SimTime end = -1;  ///< -1 while the span is open.
+  bool instant = false;
+  /// Exact sum of the CostMeter deltas attributed to this span.
+  double cost_usd = 0;
+  /// Final state: "ok", "error", "timeout", "throttle", "crash",
+  /// "fail_fast"; empty while open.
+  std::string outcome;
+  /// Extra annotations (batch counts, peak memory, keys, byte counts...).
+  Json args = Json::Object();
+
+  SimDuration duration() const { return end < start ? 0 : end - start; }
+};
+
+class Tracer {
+ public:
+  explicit Tracer(sim::SimEnvironment* env) : env_(env) {}
+  Tracer(const Tracer&) = delete;
+  Tracer& operator=(const Tracer&) = delete;
+
+  /// Opens a span at the current simulated time. Ids are assigned from a
+  /// per-tracer sequence, so identical runs produce identical ids.
+  SpanId Begin(const std::string& track, const std::string& name,
+               const std::string& category, SpanId parent = kNoSpan);
+
+  /// Closes a span with outcome "ok". No-op for kNoSpan or a closed span.
+  void End(SpanId id) { EndWith(id, "ok"); }
+  void EndWith(SpanId id, const std::string& outcome);
+
+  /// Records a zero-duration marker (throttle, injected fault, reap...).
+  void Instant(const std::string& track, const std::string& name,
+               const std::string& category, SpanId parent = kNoSpan);
+
+  /// Attaches/overwrites an annotation on an open or closed span.
+  void SetArg(SpanId id, const std::string& key, Json value);
+
+  /// Attributes a CostMeter delta to `id`. The delta is also accumulated
+  /// into the span's category bucket in call order, which makes
+  /// `attributed_usd(bucket)` bitwise-equal to the corresponding meter
+  /// total (same doubles added in the same order). kNoSpan books into the
+  /// "unattributed" bucket.
+  void AddCost(SpanId id, double usd);
+
+  const std::vector<Span>& spans() const { return spans_; }
+  /// nullptr for kNoSpan / unknown ids.
+  const Span* Find(SpanId id) const;
+  int64_t open_spans() const { return open_; }
+
+  double attributed_usd(const std::string& bucket) const;
+  /// Sum over all buckets (deterministic map order).
+  double attributed_usd_total() const;
+  const std::map<std::string, double>& cost_buckets() const {
+    return cost_buckets_;
+  }
+
+  /// Structural invariants: every span closed, parents open before their
+  /// children, and same-track children contained in their parent's
+  /// interval (cross-track children may outlive their parent: a zombie
+  /// worker keeps issuing storage requests after its execution span was
+  /// settled by a timeout or an injected crash).
+  [[nodiscard]] Status Validate() const;
+
+  /// Chrome trace-event JSON document. Tracks become processes; overlapping
+  /// subtrees within a track are spread over lanes (tids) greedily so
+  /// "X" slices on one lane always nest. Open spans export with
+  /// outcome "open" and a duration up to the current simulated time.
+  Json ExportChromeTrace() const;
+  std::string DumpChromeTrace() const { return ExportChromeTrace().Dump(); }
+  [[nodiscard]] Status WriteChromeTrace(const std::string& path) const;
+
+  void Reset();
+
+ private:
+  Span* FindMutable(SpanId id);
+
+  sim::SimEnvironment* env_;
+  std::vector<Span> spans_;  ///< Index i holds span id i+1.
+  std::map<std::string, double> cost_buckets_;
+  int64_t open_ = 0;
+};
+
+}  // namespace skyrise::obs
