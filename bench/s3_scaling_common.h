@@ -36,6 +36,33 @@ struct RampResult {
   int64_t total_requests = 0;
 };
 
+/// Closed-loop request slots shared by a ramp's in-flight reads.
+struct RampLoopState {
+  int64_t successes = 0;
+  int64_t failures = 0;
+  int64_t issued = 0;
+  int target_threads = 0;
+  int active_threads = 0;
+  bool stop = false;
+};
+
+/// Issues the next read on request slot `slot`; its completion re-issues on
+/// the same slot. Honours the (dynamic) thread target.
+inline void IssueRampRead(storage::RetryClient* client,
+                          std::shared_ptr<RampLoopState> state, int slot) {
+  if (state->stop || slot >= state->target_threads) {
+    --state->active_threads;
+    return;
+  }
+  ++state->issued;
+  const std::string key = StrFormat(
+      "ramp/obj-%05lld", static_cast<long long>(state->issued % 2048));
+  client->Get(key, {}, [client, state, slot](Result<storage::Blob> r) {
+    (r.ok() ? state->successes : state->failures) += 1;
+    IssueRampRead(client, state, slot);
+  });
+}
+
 /// Runs a client ramp: starts at `start_clients`, adds `step_clients` every
 /// `seconds_per_config` (compressed) seconds up to `end_clients`; each
 /// client runs `threads` closed-loop request slots.
@@ -59,38 +86,12 @@ inline RampResult RunS3Ramp(platform::Testbed* bed,
                                     storage::Blob::Synthetic(kKiB)));
   }
 
-  struct LoopState {
-    int64_t successes = 0;
-    int64_t failures = 0;
-    int64_t issued = 0;
-    int target_threads = 0;
-    int active_threads = 0;
-    bool stop = false;
-  };
-  auto state = std::make_shared<LoopState>();
-
-  // Closed-loop issue function; honours the (dynamic) thread target.
-  std::shared_ptr<std::function<void(int)>> issue =
-      std::make_shared<std::function<void(int)>>();
-  *issue = [&client, state, issue](int slot) {
-    if (state->stop || slot >= state->target_threads) {
-      --state->active_threads;
-      return;
-    }
-    ++state->issued;
-    const std::string key =
-        StrFormat("ramp/obj-%05lld",
-                  static_cast<long long>(state->issued % 2048));
-    client->Get(key, {}, [state, issue, slot](Result<storage::Blob> r) {
-      (r.ok() ? state->successes : state->failures) += 1;
-      (*issue)(slot);
-    });
-  };
+  auto state = std::make_shared<RampLoopState>();
   auto set_threads = [&](int target) {
     state->target_threads = target;
     while (state->active_threads < target) {
       const int slot = state->active_threads++;
-      (*issue)(slot);
+      IssueRampRead(client.get(), state, slot);
     }
   };
 

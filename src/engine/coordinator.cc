@@ -293,7 +293,8 @@ class CoordinatorTask : public std::enable_shared_from_this<CoordinatorTask> {
         std::clamp<int64_t>(budget / avg, 1, std::max(1, files)));
   }
 
-  Json BuildWorkerPayload(const PipelineSpec& pipeline, int fragment,
+  Json BuildWorkerPayload(const PipelineSpec& pipeline,
+                          const Json& pipeline_json, int fragment,
                           int fragments) {
     std::vector<WorkerInputAssignment> assignments;
     for (size_t i = 0; i < pipeline.inputs.size(); ++i) {
@@ -324,7 +325,8 @@ class CoordinatorTask : public std::enable_shared_from_this<CoordinatorTask> {
       }
       assignments.push_back(std::move(assignment));
     }
-    Json payload = WorkerPayload(query_id_, pipeline, fragment, assignments);
+    Json payload =
+        WorkerPayload(query_id_, pipeline_json, fragment, assignments);
     payload["barrier_participants"] = fragments;
     // Workers inherit the query deadline; the platform clamps their
     // execution timeout against it and their storage clients stop retrying
@@ -420,9 +422,10 @@ class CoordinatorTask : public std::enable_shared_from_this<CoordinatorTask> {
           query_span_);
     }
     state->frags.resize(static_cast<size_t>(fragments));
+    const Json pipeline_json = pipeline.ToJson();
     for (int f = 0; f < fragments; ++f) {
       state->frags[static_cast<size_t>(f)].payload =
-          BuildWorkerPayload(pipeline, f, fragments);
+          BuildWorkerPayload(pipeline, pipeline_json, f, fragments);
       state->pending.push_back(f);
     }
     ScheduleSpeculationSweep(state);
@@ -495,7 +498,6 @@ class CoordinatorTask : public std::enable_shared_from_this<CoordinatorTask> {
     // invoker fans out its batch in parallel with the others. Responses are
     // routed back to fragments by the "fragment" field, so individual worker
     // failures inside a batch retry per-fragment, not per-batch.
-    auto self = shared_from_this();
     std::vector<std::vector<int>> batch_fragments;
     while (!state->pending.empty()) {
       std::vector<int> members;
@@ -507,54 +509,60 @@ class CoordinatorTask : public std::enable_shared_from_this<CoordinatorTask> {
       }
       batch_fragments.push_back(std::move(members));
     }
-    auto member_list = std::make_shared<std::vector<std::vector<int>>>(
-        std::move(batch_fragments));
-    auto issue = std::make_shared<std::function<void(size_t)>>();
-    *issue = [self, state, member_list, issue](size_t i) {
-      if (i >= member_list->size() || state->failed) return;
-      const std::vector<int>& members = (*member_list)[i];
-      // The batch payload is assembled at issue time so each member carries
-      // a fresh attempt span as its trace parent; the invoker's own invoke
-      // span nests under the stage.
-      Json batch = Json::Object();
-      Json payloads = Json::Array();
-      auto attempt_spans = std::make_shared<std::map<int, obs::SpanId>>();
-      for (int f : members) {
-        self->NoteLaunch(state, f);
-        Json payload = state->frags[static_cast<size_t>(f)].payload;
-        (*attempt_spans)[f] = self->BeginAttempt(state, f, &payload);
-        payloads.Append(std::move(payload));
-      }
-      batch["payloads"] = std::move(payloads);
-      if (self->deadline_.bounded()) {
-        batch["deadline_us"] = self->deadline_.at_or_zero();
-      }
-      if (self->tracer_ != nullptr) batch["trace_parent"] = state->span;
-      self->ec_->worker_platform->Invoke(
-          kInvokerFunction, std::move(batch),
-          [self, state, members, attempt_spans](Result<Json> r) {
-            if (!r.ok()) {
-              // The invoker itself died (crash/timeout): every fragment of
-              // the batch failed; each retries independently.
-              for (int f : members) {
-                self->OnWorkerOutcome(state, f, (*attempt_spans)[f],
-                                      r.status());
-              }
-              return;
-            }
-            // The invoker returns the collected worker responses (including
-            // per-fragment error entries), routed by fragment index.
-            for (const auto& response : r->Get("responses").AsArray()) {
-              const int f = static_cast<int>(response.GetInt("fragment", -1));
-              if (f < 0 || f >= state->fragments) continue;
+    IssueBatch(state,
+               std::make_shared<const std::vector<std::vector<int>>>(
+                   std::move(batch_fragments)),
+               0);
+  }
+
+  /// Invokes invoker batch `i`, then schedules batch `i + 1` one
+  /// kInvokeDispatchLatency later.
+  void IssueBatch(
+      std::shared_ptr<StageState> state,
+      std::shared_ptr<const std::vector<std::vector<int>>> batches,
+      size_t i) {
+    if (i >= batches->size() || state->failed) return;
+    auto self = shared_from_this();
+    const std::vector<int>& members = (*batches)[i];
+    // The batch payload is assembled at issue time so each member carries
+    // a fresh attempt span as its trace parent; the invoker's own invoke
+    // span nests under the stage.
+    Json batch = Json::Object();
+    Json payloads = Json::Array();
+    auto attempt_spans = std::make_shared<std::map<int, obs::SpanId>>();
+    for (int f : members) {
+      NoteLaunch(state, f);
+      Json payload = state->frags[static_cast<size_t>(f)].payload;
+      (*attempt_spans)[f] = BeginAttempt(state, f, &payload);
+      payloads.Append(std::move(payload));
+    }
+    batch["payloads"] = std::move(payloads);
+    if (deadline_.bounded()) batch["deadline_us"] = deadline_.at_or_zero();
+    if (tracer_ != nullptr) batch["trace_parent"] = state->span;
+    ec_->worker_platform->Invoke(
+        kInvokerFunction, std::move(batch),
+        [self, state, members, attempt_spans](Result<Json> r) {
+          if (!r.ok()) {
+            // The invoker itself died (crash/timeout): every fragment of
+            // the batch failed; each retries independently.
+            for (int f : members) {
               self->OnWorkerOutcome(state, f, (*attempt_spans)[f],
-                                    Json(response));
+                                    r.status());
             }
-          });
-      self->ec_->env->Schedule(kInvokeDispatchLatency,
-                               [issue, i] { (*issue)(i + 1); });
-    };
-    (*issue)(0);
+            return;
+          }
+          // The invoker returns the collected worker responses (including
+          // per-fragment error entries), routed by fragment index.
+          for (const auto& response : r->Get("responses").AsArray()) {
+            const int f = static_cast<int>(response.GetInt("fragment", -1));
+            if (f < 0 || f >= state->fragments) continue;
+            self->OnWorkerOutcome(state, f, (*attempt_spans)[f],
+                                  Json(response));
+          }
+        });
+    ec_->env->Schedule(kInvokeDispatchLatency, [self, state, batches, i] {
+      self->IssueBatch(state, batches, i + 1);
+    });
   }
 
   void OnWorkerOutcome(std::shared_ptr<StageState> state, int f,

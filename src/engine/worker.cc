@@ -14,7 +14,8 @@ using data::Chunk;
 using storage::Blob;
 
 /// One pending ranged read; large column chunks are split into
-/// `range_chunk_bytes` pieces processed in parallel (Section 3.2).
+/// `range_chunk_bytes` pieces issued in parallel, at most
+/// `max_concurrent_requests` in flight (Section 3.2).
 struct ReadOp {
   std::string key;
   int64_t offset = 0;
@@ -23,116 +24,21 @@ struct ReadOp {
   int64_t buffer_offset = 0;
 };
 
-/// Issues reads with bounded concurrency against a retrying client,
-/// reassembling split ranges, then fires `done` with the buffers. Used for
-/// build-side inputs, which must materialize fully before the probe stream
-/// starts.
-class ReadBatch : public std::enable_shared_from_this<ReadBatch> {
- public:
-  ReadBatch(EngineContext* ec, storage::RetryClient* client,
-            storage::ClientContext storage_ctx, size_t buffer_count)
-      : ec_(ec), client_(client), storage_ctx_(std::move(storage_ctx)) {
-    buffers_.resize(buffer_count);
-    synthetic_.assign(buffer_count, false);
-  }
-
-  void Add(ReadOp op) {
-    // Split oversized ranges into parallel chunked requests.
-    while (op.length > ec_->range_chunk_bytes) {
-      ReadOp piece = op;
-      piece.length = ec_->range_chunk_bytes;
-      pending_.push_back(piece);
-      op.offset += ec_->range_chunk_bytes;
-      op.buffer_offset += ec_->range_chunk_bytes;
-      op.length -= ec_->range_chunk_bytes;
-    }
-    if (op.length > 0) pending_.push_back(op);
-  }
-
-  /// `done(status, buffers, synthetic_flags, bytes_read)`.
-  using DoneFn = std::function<void(Status, std::vector<std::string>,
-                                    std::vector<bool>, int64_t)>;
-
-  void Start(DoneFn done) {
-    done_ = std::move(done);
-    if (pending_.empty()) {
-      Settle(Status::OK());
-      return;
-    }
-    total_ = pending_.size();
-    Pump();
-  }
-
- private:
-  void Pump() {
-    while (outstanding_ < ec_->max_concurrent_requests && !pending_.empty()) {
-      ReadOp op = pending_.front();
-      pending_.pop_front();
-      ++outstanding_;
-      auto self = shared_from_this();
-      client_->GetRange(op.key, op.offset, op.length, storage_ctx_,
-                        [self, op](Result<Blob> result) {
-                          self->OnRead(op, std::move(result));
-                        });
-    }
-  }
-
-  void OnRead(const ReadOp& op, Result<Blob> result) {
-    --outstanding_;
-    ++completed_;
-    if (settled_) return;
-    if (!result.ok()) {
-      Settle(result.status());
-      return;
-    }
-    bytes_read_ += result->size();
-    if (result->is_synthetic()) {
-      synthetic_[op.buffer] = true;
-    } else {
-      std::string& buffer = buffers_[op.buffer];
-      const size_t end = static_cast<size_t>(op.buffer_offset) +
-                         result->data().size();
-      if (buffer.size() < end) buffer.resize(end);
-      result->data().copy(buffer.data() + op.buffer_offset,
-                          result->data().size());
-    }
-    if (completed_ == total_) {
-      Settle(Status::OK());
-      return;
-    }
-    Pump();
-  }
-
-  void Settle(Status status) {
-    if (settled_) return;
-    settled_ = true;
-    done_(std::move(status), std::move(buffers_), std::move(synthetic_),
-          bytes_read_);
-  }
-
-  EngineContext* ec_;
-  // Client stub for the storage crossings (RetryClient::GetRange).
-  // skyrise-check: allow(domain-escape) — client stub for a crossing API.
-  storage::RetryClient* client_;
-  storage::ClientContext storage_ctx_;
-  std::deque<ReadOp> pending_;
-  std::vector<std::string> buffers_;
-  std::vector<bool> synthetic_;
-  size_t total_ = 0;
-  size_t completed_ = 0;
-  int outstanding_ = 0;
-  int64_t bytes_read_ = 0;
-  bool settled_ = false;
-  DoneFn done_;
+/// One encoded output object awaiting its PUT.
+struct PendingWrite {
+  std::string key;
+  Blob blob;
 };
 
 /// Executes one fragment as a streaming morsel pipeline: build-side inputs
-/// (pipeline inputs 1..n) materialize first, then the streamed input 0 is
-/// read one row group at a time and pushed through a FragmentPipeline while
-/// further ranged reads are in flight — I/O and compute overlap on the sim
-/// event loop. Decoded row groups enter the pipeline in deterministic
-/// (file, row group) / upstream-fragment order regardless of which reads
-/// straggled or were retried, so result bytes are reproducible under faults.
+/// (pipeline inputs 1..n) load one after another, then the streamed input 0
+/// is read one row group at a time and pushed through a FragmentPipeline
+/// while further ranged reads are in flight — I/O and compute overlap on the
+/// sim event loop. Each input kind has exactly one reader, parameterised by
+/// the input index: decoded chunks go to Deliver() and end of input to
+/// InputDone(). Chunks are delivered in deterministic (file, row group) /
+/// upstream-fragment order regardless of which reads straggled or were
+/// retried, so result bytes are reproducible under faults.
 class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
  public:
   WorkerTask(EngineContext* ec,
@@ -216,44 +122,55 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
     fctx_->FinishError(std::move(status));
   }
 
-  // --- Build-side inputs (pipeline inputs 1..n): fully materialized. ---
+  // --- Inputs: build-side inputs 1..n load one after another, then the
+  // barrier, then input 0 streams through the pipeline. Inputs never load
+  // concurrently, so every reader's state below belongs to `input_`. ---
 
   void LoadBuildInput(size_t index) {
     if (index >= pipeline_.inputs.size()) {
       MaybeBarrier();
       return;
     }
-    const InputSpec& spec = pipeline_.inputs[index];
-    if (spec.type == InputSpec::Type::kTable) {
-      LoadTableInput(index);
+    ReadInput(index);
+  }
+
+  void ReadInput(size_t index) {
+    input_ = index;
+    if (pipeline_.inputs[index].type == InputSpec::Type::kTable) {
+      StreamNextFile(0);
     } else {
-      LoadShuffleInput(index);
+      StreamShuffleInput();
     }
   }
 
-  // --- Table input: footer fetch -> prune -> chunked column reads. ---
-
-  void LoadTableInput(size_t index) {
-    auto files = std::make_shared<std::vector<TableFileAssignment>>(
-        assignments_[index].files);
-    LoadNextFile(index, files, 0);
-  }
-
-  void LoadNextFile(size_t index,
-                    std::shared_ptr<std::vector<TableFileAssignment>> files,
-                    size_t file_index) {
-    if (file_index >= files->size()) {
-      LoadBuildInput(index + 1);
+  /// The one delivery point: input 0 feeds the pipeline, a build input
+  /// accumulates into its table.
+  void Deliver(Chunk&& chunk) {
+    if (input_ == 0) {
+      Enqueue(std::move(chunk));
       return;
     }
-    const TableFileAssignment& file = (*files)[file_index];
-    auto self = shared_from_this();
-    FetchFooter(file, [self, index, files, file_index](
-                          format::FileMeta meta) {
-      self->ReadFileColumns(index, files, file_index, (*files)[file_index],
-                            std::move(meta));
-    });
+    std::optional<Chunk>& table = loaded_[input_];
+    if (!table.has_value()) {
+      table = std::move(chunk);
+      return;
+    }
+    table->Append(chunk);
+    chunk_pool_.Release(std::move(chunk));
   }
+
+  /// The one continuation at end of input.
+  void InputDone() {
+    if (input_ == 0) {
+      StreamEof();
+    } else {
+      LoadBuildInput(input_ + 1);
+    }
+  }
+
+  // --- Table input: footer fetch -> prune -> split ranged reads, decoded
+  // and delivered in (file, row group) order while later reads are in
+  // flight. ---
 
   /// Fetches + parses a file footer (or resolves it via the synthetic
   /// catalog) and hands the FileMeta to `then`. Failures finish the task.
@@ -344,268 +261,14 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
     return out;
   }
 
-  void ReadFileColumns(size_t index,
-                       std::shared_ptr<std::vector<TableFileAssignment>> files,
-                       size_t file_index, const TableFileAssignment& file,
-                       format::FileMeta meta) {
-    const InputSpec& spec = pipeline_.inputs[index];
-    auto meta_ptr = std::make_shared<format::FileMeta>(std::move(meta));
-    auto survivors =
-        std::make_shared<std::vector<size_t>>(PruneRowGroups(spec, *meta_ptr));
-    std::vector<std::string> projection = ProjectionFor(spec, *meta_ptr);
-
-    // Make the input schema known even if every row group is pruned.
-    {
-      auto projected = meta_ptr->schema.Select(projection);
-      if (!projected.ok()) {
-        Fail(projected.status());
-        return;
-      }
-      if (!loaded_[index].has_value()) {
-        loaded_[index] = Chunk::Empty(*projected);
-      }
-    }
-    auto batch = std::make_shared<ReadBatch>(
-        ec_, table_client_.get(), storage_ctx_,
-        survivors->size() * projection.size());
-    size_t buffer = 0;
-    for (size_t rg : *survivors) {
-      auto ranges =
-          format::RowGroupColumnRanges(*meta_ptr, rg, projection);
-      if (!ranges.ok()) {
-        Fail(ranges.status());
-        return;
-      }
-      for (const format::ColumnRange& range : *ranges) {
-        batch->Add(ReadOp{file.key, range.offset, range.size, buffer, 0});
-        ++buffer;
-      }
-    }
-    auto self = shared_from_this();
-    auto projection_ptr =
-        std::make_shared<std::vector<std::string>>(std::move(projection));
-    batch->Start([self, index, files, file_index, meta_ptr, survivors,
-                  projection_ptr](Status status,
-                                  std::vector<std::string> buffers,
-                                  std::vector<bool> synthetic,
-                                  int64_t bytes) {
-      if (!status.ok()) {
-        self->Fail(status);
-        return;
-      }
-      self->bytes_read_ += bytes;
-      self->cost_.AddNs(static_cast<double>(bytes) *
-                        self->cost_.model().decode_ns_per_byte);
-      size_t buffer = 0;
-      for (size_t rg : *survivors) {
-        std::vector<std::string> column_bytes;
-        for (size_t c = 0; c < projection_ptr->size(); ++c) {
-          column_bytes.push_back(std::move(buffers[buffer]));
-          (void)synthetic;
-          ++buffer;
-        }
-        Chunk decoded = self->chunk_pool_.AcquireRaw();
-        const Status decode_status = format::DecodeRowGroupInto(
-            *meta_ptr, rg, *projection_ptr, column_bytes, &decoded);
-        if (!decode_status.ok()) {
-          self->Fail(decode_status);
-          return;
-        }
-        auto filtered = self->ApplyPushdown(self->pipeline_.inputs[index],
-                                            std::move(decoded));
-        if (!filtered.ok()) {
-          self->Fail(filtered.status());
-          return;
-        }
-        self->AccumulateInput(index, std::move(filtered).ValueUnsafe());
-      }
-      self->LoadNextFile(index, files, file_index + 1);
-    });
-  }
-
-  // --- Shuffle input: read every upstream fragment's partition object. ---
-
-  void LoadShuffleInput(size_t index) {
-    const InputSpec& spec = pipeline_.inputs[index];
-    const int upstream = spec.upstream_pipeline;
-    const int count = assignments_[index].upstream_fragments;
-    auto remaining = std::make_shared<int>(count);
-    auto failed = std::make_shared<bool>(false);
-    if (count == 0) {
-      LoadBuildInput(index + 1);
-      return;
-    }
-    auto self = shared_from_this();
-    auto outstanding = std::make_shared<int>(0);
-    auto next = std::make_shared<int>(0);
-    // Reads complete in storage-latency order, which is not deterministic
-    // across fault/retry schedules. Decode into one slot per upstream
-    // fragment and accumulate in fragment order once all reads are in, so
-    // the input chunk order (and thus the query result bytes) is identical
-    // regardless of which attempts straggled or were retried.
-    auto slots = std::make_shared<std::vector<std::vector<Chunk>>>(
-        static_cast<size_t>(count));
-    auto pump = std::make_shared<std::function<void()>>();
-    *pump = [self, index, upstream, count, remaining, failed, outstanding,
-             next, slots, pump] {
-      while (*outstanding < self->ec_->max_concurrent_requests &&
-             *next < count) {
-        const int uf = (*next)++;
-        ++(*outstanding);
-        const std::string key =
-            ShuffleKey(self->query_id_, upstream, uf, self->fragment_);
-        self->shuffle_client_->Get(
-            key, self->storage_ctx_,
-            [self, index, key, uf, remaining, failed, outstanding, slots,
-             pump](Result<Blob> result) {
-              --(*outstanding);
-              if (*failed) return;
-              if (!result.ok()) {
-                *failed = true;
-                self->Fail(result.status());
-                return;
-              }
-              self->bytes_read_ += result->size();
-              if (!self->DecodeShuffleObject(
-                      key, *result, &(*slots)[static_cast<size_t>(uf)])) {
-                *failed = true;
-                return;
-              }
-              if (--(*remaining) == 0) {
-                for (auto& slot : *slots) {
-                  for (auto& chunk : slot) {
-                    self->AccumulateInput(index, std::move(chunk));
-                  }
-                }
-                self->LoadBuildInput(index + 1);
-                return;
-              }
-              (*pump)();
-            });
-      }
-    };
-    (*pump)();
-  }
-
-  bool DecodeShuffleObject(const std::string& key, const Blob& blob,
-                           std::vector<Chunk>* out) {
-    format::FileMeta meta;
-    if (blob.is_synthetic()) {
-      auto found = ec_->catalog->Find(key);
-      if (!found.ok()) {
-        Fail(found.status());
-        return false;
-      }
-      meta = std::move(found).ValueUnsafe();
-    } else {
-      auto parsed = format::ParseFooter(blob.data(), 0,
-                                        static_cast<int64_t>(blob.size()));
-      if (!parsed.ok()) {
-        Fail(parsed.status());
-        return false;
-      }
-      meta = std::move(parsed).ValueUnsafe();
-    }
-    cost_.AddNs(static_cast<double>(blob.size()) *
-                cost_.model().decode_ns_per_byte);
-    std::vector<std::string> projection;
-    for (const auto& f : meta.schema.fields()) projection.push_back(f.name);
-    for (size_t rg = 0; rg < meta.row_groups.size(); ++rg) {
-      std::vector<std::string> column_bytes;
-      for (size_t c = 0; c < projection.size(); ++c) {
-        if (meta.synthetic) {
-          column_bytes.emplace_back();
-        } else {
-          const auto& cm = meta.row_groups[rg].columns[c];
-          column_bytes.push_back(blob.data().substr(
-              static_cast<size_t>(cm.offset), static_cast<size_t>(cm.size)));
-        }
-      }
-      Chunk decoded = chunk_pool_.AcquireRaw();
-      const Status decode_status =
-          format::DecodeRowGroupInto(meta, rg, projection, column_bytes,
-                                     &decoded);
-      if (!decode_status.ok()) {
-        Fail(decode_status);
-        return false;
-      }
-      out->push_back(std::move(decoded));
-    }
-    if (meta.row_groups.empty()) {
-      out->push_back(Chunk::Empty(meta.schema));
-    }
-    return true;
-  }
-
-  void AccumulateInput(size_t index, Chunk&& chunk) {
-    if (!loaded_[index].has_value()) {
-      loaded_[index] = std::move(chunk);
-      return;
-    }
-    loaded_[index]->Append(chunk);
-    chunk_pool_.Release(std::move(chunk));
-  }
-
-  // --- Barrier, then the streamed input drives the pipeline. ---
-
-  void MaybeBarrier() {
-    bool has_barrier = false;
-    for (const auto& op : pipeline_.ops) {
-      if (op.op == "barrier") has_barrier = true;
-    }
-    if (!has_barrier || ec_->queue == nullptr || barrier_participants_ <= 0) {
-      StartStream();
-      return;
-    }
-    const std::string name =
-        StrFormat("%s/p%d/barrier", query_id_.c_str(), pipeline_.id);
-    obs::SpanId barrier_span = obs::kNoSpan;
-    if (tracer_ != nullptr) {
-      barrier_span = tracer_->Begin("worker", "barrier", "engine",
-                                    input_span_);
-    }
-    auto self = shared_from_this();
-    ec_->queue->Arrive(name, barrier_participants_, [self, barrier_span] {
-      if (self->tracer_ != nullptr) self->tracer_->End(barrier_span);
-      self->StartStream();
-    });
-  }
-
-  void StartStream() {
-    std::vector<Chunk> builds;
-    for (size_t i = 1; i < loaded_.size(); ++i) {
-      builds.push_back(loaded_[i].has_value() ? std::move(*loaded_[i])
-                                              : Chunk::Empty(data::Schema()));
-    }
-    executor_ = std::make_unique<FragmentPipeline>(
-        pipeline_, std::move(builds), &cost_, &memory_, ec_->morsel_rows,
-        &chunk_pool_);
-    if (pipeline_.inputs.empty()) {
-      StreamEof();
-      return;
-    }
-    if (pipeline_.inputs[0].type == InputSpec::Type::kTable) {
-      StreamTableInput();
-    } else {
-      StreamShuffleInput();
-    }
-  }
-
-  // --- Streamed table input: per-row-group ranged reads, decoded and
-  // pushed in (file, row group) order while later reads are in flight. ---
-
-  void StreamTableInput() {
-    stream_files_ = std::make_shared<std::vector<TableFileAssignment>>(
-        assignments_[0].files);
-    StreamNextFile(0);
-  }
-
   void StreamNextFile(size_t file_index) {
-    if (file_index >= stream_files_->size()) {
-      StreamEof();
+    const std::vector<TableFileAssignment>& files =
+        assignments_[input_].files;
+    if (file_index >= files.size()) {
+      InputDone();
       return;
     }
-    const TableFileAssignment& file = (*stream_files_)[file_index];
+    const TableFileAssignment& file = files[file_index];
     auto self = shared_from_this();
     FetchFooter(file, [self, file_index](format::FileMeta meta) {
       self->StreamFileColumns(file_index, std::move(meta));
@@ -613,17 +276,19 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
   }
 
   void StreamFileColumns(size_t file_index, format::FileMeta meta) {
-    const InputSpec& spec = pipeline_.inputs[0];
-    stream_meta_ = std::make_shared<format::FileMeta>(std::move(meta));
-    stream_projection_ = ProjectionFor(spec, *stream_meta_);
-    stream_survivors_ = PruneRowGroups(spec, *stream_meta_);
-    {
-      auto projected = stream_meta_->schema.Select(stream_projection_);
-      if (!projected.ok()) {
-        Fail(projected.status());
-        return;
-      }
-      if (!fallback_schema_.has_value()) fallback_schema_ = *projected;
+    const InputSpec& spec = pipeline_.inputs[input_];
+    stream_meta_ = std::move(meta);
+    stream_projection_ = ProjectionFor(spec, stream_meta_);
+    stream_survivors_ = PruneRowGroups(spec, stream_meta_);
+    // Record the input's schema even if every row group is pruned: a build
+    // table keeps it, input 0 runs the chain once over it (StreamEof).
+    auto projected = stream_meta_.schema.Select(stream_projection_);
+    if (!projected.ok()) {
+      Fail(projected.status());
+      return;
+    }
+    if (!loaded_[input_].has_value()) {
+      loaded_[input_] = Chunk::Empty(*projected);
     }
     stream_file_index_ = file_index;
     if (stream_survivors_.empty()) {
@@ -631,15 +296,14 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
       return;
     }
     const size_t cols = stream_projection_.size();
-    const std::string& key = (*stream_files_)[file_index].key;
+    const std::string& key = assignments_[input_].files[file_index].key;
     stream_buffers_.assign(stream_survivors_.size() * cols, std::string());
-    stream_synthetic_.assign(stream_survivors_.size() * cols, false);
     rg_pieces_.assign(stream_survivors_.size(), 0);
     rg_ready_.assign(stream_survivors_.size(), false);
     rg_cursor_ = 0;
     for (size_t slot = 0; slot < stream_survivors_.size(); ++slot) {
       auto ranges = format::RowGroupColumnRanges(
-          *stream_meta_, stream_survivors_[slot], stream_projection_);
+          stream_meta_, stream_survivors_[slot], stream_projection_);
       if (!ranges.ok()) {
         Fail(ranges.status());
         return;
@@ -692,9 +356,7 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
     bytes_read_ += result->size();
     cost_.AddNs(static_cast<double>(result->size()) *
                 cost_.model().decode_ns_per_byte);
-    if (result->is_synthetic()) {
-      stream_synthetic_[op.buffer] = true;
-    } else {
+    if (!result->is_synthetic()) {
       std::string& buffer = stream_buffers_[op.buffer];
       const size_t end = static_cast<size_t>(op.buffer_offset) +
                          result->data().size();
@@ -710,7 +372,7 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
     if (!done_) PumpStreamReads();
   }
 
-  /// Decodes + pushes every ready row group at the front of the in-order
+  /// Decodes + delivers every ready row group at the front of the in-order
   /// cursor, then moves to the next file once this one is fully decoded.
   void AdvanceRowGroupCursor() {
     const size_t cols = stream_projection_.size();
@@ -723,19 +385,20 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
       }
       Chunk decoded = chunk_pool_.AcquireRaw();
       const Status decode_status = format::DecodeRowGroupInto(
-          *stream_meta_, stream_survivors_[rg_cursor_], stream_projection_,
+          stream_meta_, stream_survivors_[rg_cursor_], stream_projection_,
           column_bytes, &decoded);
       if (!decode_status.ok()) {
         Fail(decode_status);
         return;
       }
-      auto filtered = ApplyPushdown(pipeline_.inputs[0], std::move(decoded));
+      auto filtered =
+          ApplyPushdown(pipeline_.inputs[input_], std::move(decoded));
       if (!filtered.ok()) {
         Fail(filtered.status());
         return;
       }
       ++rg_cursor_;
-      Enqueue(std::move(filtered).ValueUnsafe());
+      Deliver(std::move(filtered).ValueUnsafe());
     }
     if (!stream_survivors_.empty() &&
         rg_cursor_ == stream_survivors_.size()) {
@@ -745,24 +408,25 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
     }
   }
 
-  // --- Streamed shuffle input: bounded GETs, decoded per upstream fragment
-  // and pushed in fragment order as the completion cursor advances. ---
+  // --- Shuffle input: bounded GETs, decoded per upstream fragment and
+  // delivered in fragment order as the completion cursor advances. ---
 
   void StreamShuffleInput() {
-    const int count = assignments_[0].upstream_fragments;
+    const int count = assignments_[input_].upstream_fragments;
     if (count == 0) {
-      StreamEof();
+      InputDone();
       return;
     }
     shuffle_slots_.assign(static_cast<size_t>(count), {});
     shuffle_done_.assign(static_cast<size_t>(count), false);
     shuffle_cursor_ = 0;
     shuffle_next_ = 0;
-    PumpShuffleStream(count);
+    PumpShuffleStream();
   }
 
-  void PumpShuffleStream(int count) {
-    const int upstream = pipeline_.inputs[0].upstream_pipeline;
+  void PumpShuffleStream() {
+    const int count = static_cast<int>(shuffle_slots_.size());
+    const int upstream = pipeline_.inputs[input_].upstream_pipeline;
     auto self = shared_from_this();
     while (shuffle_outstanding_ < ec_->max_concurrent_requests &&
            shuffle_next_ < count) {
@@ -770,7 +434,7 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
       ++shuffle_outstanding_;
       const std::string key = ShuffleKey(query_id_, upstream, uf, fragment_);
       shuffle_client_->Get(
-          key, storage_ctx_, [self, key, uf, count](Result<Blob> result) {
+          key, storage_ctx_, [self, key, uf](Result<Blob> result) {
             --self->shuffle_outstanding_;
             if (self->done_) return;
             if (!result.ok()) {
@@ -784,22 +448,118 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
               return;
             }
             self->shuffle_done_[static_cast<size_t>(uf)] = true;
-            self->AdvanceShuffleCursor(count);
-            if (!self->done_) self->PumpShuffleStream(count);
+            if (self->AdvanceShuffleCursor() && !self->done_) {
+              self->PumpShuffleStream();
+            }
           });
     }
   }
 
-  void AdvanceShuffleCursor(int count) {
+  /// Delivers every decoded upstream fragment at the front of the in-order
+  /// cursor. Returns false once the input is complete and handed on.
+  bool AdvanceShuffleCursor() {
+    const int count = static_cast<int>(shuffle_slots_.size());
     while (shuffle_cursor_ < count &&
            shuffle_done_[static_cast<size_t>(shuffle_cursor_)]) {
-      for (auto& chunk : shuffle_slots_[static_cast<size_t>(shuffle_cursor_)]) {
-        Enqueue(std::move(chunk));
-      }
-      shuffle_slots_[static_cast<size_t>(shuffle_cursor_)].clear();
+      std::vector<Chunk> slot =
+          std::move(shuffle_slots_[static_cast<size_t>(shuffle_cursor_)]);
+      for (auto& chunk : slot) Deliver(std::move(chunk));
       ++shuffle_cursor_;
     }
-    if (shuffle_cursor_ == count) StreamEof();
+    if (shuffle_cursor_ < count) return true;
+    InputDone();
+    return false;
+  }
+
+  bool DecodeShuffleObject(const std::string& key, const Blob& blob,
+                           std::vector<Chunk>* out) {
+    format::FileMeta meta;
+    if (blob.is_synthetic()) {
+      auto found = ec_->catalog->Find(key);
+      if (!found.ok()) {
+        Fail(found.status());
+        return false;
+      }
+      meta = std::move(found).ValueUnsafe();
+    } else {
+      auto parsed = format::ParseFooter(blob.data(), 0,
+                                        static_cast<int64_t>(blob.size()));
+      if (!parsed.ok()) {
+        Fail(parsed.status());
+        return false;
+      }
+      meta = std::move(parsed).ValueUnsafe();
+    }
+    cost_.AddNs(static_cast<double>(blob.size()) *
+                cost_.model().decode_ns_per_byte);
+    std::vector<std::string> projection;
+    for (const auto& f : meta.schema.fields()) projection.push_back(f.name);
+    for (size_t rg = 0; rg < meta.row_groups.size(); ++rg) {
+      std::vector<std::string> column_bytes;
+      for (size_t c = 0; c < projection.size(); ++c) {
+        if (meta.synthetic) {
+          column_bytes.emplace_back();
+        } else {
+          const auto& cm = meta.row_groups[rg].columns[c];
+          column_bytes.push_back(blob.data().substr(
+              static_cast<size_t>(cm.offset), static_cast<size_t>(cm.size)));
+        }
+      }
+      Chunk decoded = chunk_pool_.AcquireRaw();
+      const Status decode_status =
+          format::DecodeRowGroupInto(meta, rg, projection, column_bytes,
+                                     &decoded);
+      if (!decode_status.ok()) {
+        Fail(decode_status);
+        return false;
+      }
+      out->push_back(std::move(decoded));
+    }
+    if (meta.row_groups.empty()) {
+      out->push_back(Chunk::Empty(meta.schema));
+    }
+    return true;
+  }
+
+  // --- Barrier, then the streamed input drives the pipeline. ---
+
+  void MaybeBarrier() {
+    bool has_barrier = false;
+    for (const auto& op : pipeline_.ops) {
+      if (op.op == "barrier") has_barrier = true;
+    }
+    if (!has_barrier || ec_->queue == nullptr || barrier_participants_ <= 0) {
+      StartStream();
+      return;
+    }
+    const std::string name =
+        StrFormat("%s/p%d/barrier", query_id_.c_str(), pipeline_.id);
+    obs::SpanId barrier_span = obs::kNoSpan;
+    if (tracer_ != nullptr) {
+      barrier_span = tracer_->Begin("worker", "barrier", "engine",
+                                    input_span_);
+    }
+    auto self = shared_from_this();
+    ec_->queue->Arrive(name, barrier_participants_, [self, barrier_span] {
+      if (self->tracer_ != nullptr) self->tracer_->End(barrier_span);
+      self->StartStream();
+    });
+  }
+
+  void StartStream() {
+    std::vector<Chunk> builds;
+    for (size_t i = 1; i < loaded_.size(); ++i) {
+      builds.push_back(loaded_[i].has_value() ? std::move(*loaded_[i])
+                                              : Chunk::Empty(data::Schema()));
+    }
+    executor_ = std::make_unique<FragmentPipeline>(
+        pipeline_, std::move(builds), &cost_, &memory_, ec_->morsel_rows,
+        &chunk_pool_);
+    if (pipeline_.inputs.empty()) {
+      StreamEof();
+      return;
+    }
+    ReadInput(0);
   }
 
   // --- The compute pump: one morsel per Compute hop, charged as the
@@ -815,8 +575,8 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
     // Zero-morsel streams (e.g. every row group pruned) still run the chain
     // once over an empty batch with the projected schema, as the
     // materialized path did.
-    if (morsels_seen_ == 0 && fallback_schema_.has_value()) {
-      morsels_.push_back(Chunk::Empty(*fallback_schema_));
+    if (morsels_seen_ == 0 && !loaded_.empty() && loaded_[0].has_value()) {
+      morsels_.push_back(std::move(*loaded_[0]));
     }
     stream_eof_ = true;
     input_done_ = Now();
@@ -888,24 +648,19 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
                               Json(self->fragment_));
         self->storage_ctx_.span = self->output_span_;
       }
-      self->WriteOutputs(outs);
+      self->WriteOutputs(*outs);
     });
   }
 
-  void WriteOutputs(std::shared_ptr<std::vector<FragmentOutput>> outputs) {
-    if (outputs->empty()) {
+  void WriteOutputs(const std::vector<FragmentOutput>& outputs) {
+    if (outputs.empty()) {
       Respond();
       return;
     }
     // Encode all outputs (CPU already accounted), then write them with
     // bounded concurrency — an unbounded PUT volley against a cold bucket
     // would immediately exceed the write-IOPS envelope for every worker.
-    struct PendingWrite {
-      std::string key;
-      Blob blob;
-    };
-    auto writes = std::make_shared<std::vector<PendingWrite>>();
-    for (auto& output : *outputs) {
+    for (const auto& output : outputs) {
       std::string key;
       if (output.partition < 0) {
         key = ResultKey(query_id_);
@@ -934,39 +689,33 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
       }
       bytes_written_ += blob.size();
       rows_out_ += output.chunk.rows();
-      writes->push_back(PendingWrite{std::move(key), std::move(blob)});
+      writes_.push_back(PendingWrite{std::move(key), std::move(blob)});
     }
+    PumpWrites();
+  }
 
+  void PumpWrites() {
     auto self = shared_from_this();
-    auto remaining = std::make_shared<int>(static_cast<int>(writes->size()));
-    auto next = std::make_shared<size_t>(0);
-    auto outstanding = std::make_shared<int>(0);
-    auto failed = std::make_shared<bool>(false);
-    auto pump = std::make_shared<std::function<void()>>();
-    *pump = [self, writes, remaining, next, outstanding, failed, pump] {
-      while (*outstanding < self->ec_->max_concurrent_requests &&
-             *next < writes->size()) {
-        PendingWrite& w = (*writes)[(*next)++];
-        ++(*outstanding);
-        self->shuffle_client_->Put(
-            w.key, std::move(w.blob), self->storage_ctx_,
-            [self, remaining, outstanding, failed, pump](Status status) {
-              --(*outstanding);
-              if (*failed) return;
-              if (!status.ok()) {
-                *failed = true;
-                self->Fail(status);
-                return;
-              }
-              if (--(*remaining) == 0) {
-                self->Respond();
-                return;
-              }
-              (*pump)();
-            });
-      }
-    };
-    (*pump)();
+    while (writes_outstanding_ < ec_->max_concurrent_requests &&
+           !writes_.empty()) {
+      PendingWrite w = std::move(writes_.front());
+      writes_.pop_front();
+      ++writes_outstanding_;
+      shuffle_client_->Put(
+          w.key, std::move(w.blob), storage_ctx_, [self](Status status) {
+            --self->writes_outstanding_;
+            if (self->done_) return;
+            if (!status.ok()) {
+              self->Fail(status);
+              return;
+            }
+            if (self->writes_.empty() && self->writes_outstanding_ == 0) {
+              self->Respond();
+              return;
+            }
+            self->PumpWrites();
+          });
+    }
   }
 
   void Respond() {
@@ -1025,9 +774,11 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
   int fragment_ = 0;
   int barrier_participants_ = 0;
   std::vector<WorkerInputAssignment> assignments_;
-  std::vector<std::optional<Chunk>> loaded_;  ///< Build-side inputs.
+  /// Build-side input tables; for input 0, only its first file's projected
+  /// schema, which a zero-morsel stream runs the chain over.
+  std::vector<std::optional<Chunk>> loaded_;
 
-  // Streaming state for input 0.
+  // Compute state for the streamed input 0.
   /// Per-task recycling pool: decoded row groups, pushdown-spent inputs, and
   /// pipeline morsels all share one free list (single-threaded on the sim
   /// event loop).
@@ -1039,15 +790,15 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
   bool finished_ = false;
   bool stream_eof_ = false;
   SimDuration charged_ = 0;
-  std::optional<data::Schema> fallback_schema_;
-  std::shared_ptr<std::vector<TableFileAssignment>> stream_files_;
+
+  // Reader state of the input being read (`input_`).
+  size_t input_ = 0;
   size_t stream_file_index_ = 0;
-  std::shared_ptr<format::FileMeta> stream_meta_;
+  format::FileMeta stream_meta_;
   std::vector<std::string> stream_projection_;
   std::vector<size_t> stream_survivors_;
   std::deque<ReadOp> stream_pending_;
   std::vector<std::string> stream_buffers_;
-  std::vector<bool> stream_synthetic_;
   std::vector<int> rg_pieces_;
   std::vector<bool> rg_ready_;
   size_t rg_cursor_ = 0;
@@ -1057,6 +808,10 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
   int shuffle_cursor_ = 0;
   int shuffle_next_ = 0;
   int shuffle_outstanding_ = 0;
+
+  // Output PUTs, issued with bounded concurrency.
+  std::deque<PendingWrite> writes_;
+  int writes_outstanding_ = 0;
 
   SimTime start_ = 0;
   SimTime input_done_ = 0;
@@ -1076,12 +831,12 @@ faas::FunctionHandler MakeWorkerHandler(EngineContext* context) {
   };
 }
 
-Json WorkerPayload(const std::string& query_id, const PipelineSpec& pipeline,
+Json WorkerPayload(const std::string& query_id, const Json& pipeline,
                    int fragment,
                    const std::vector<WorkerInputAssignment>& inputs) {
   Json payload = Json::Object();
   payload["query_id"] = query_id;
-  payload["pipeline"] = pipeline.ToJson();
+  payload["pipeline"] = pipeline;
   payload["fragment"] = fragment;
   Json input_list = Json::Array();
   for (const auto& input : inputs) {

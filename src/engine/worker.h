@@ -27,7 +27,9 @@ struct WorkerInputAssignment {
   int upstream_fragments = 0;              ///< kShuffle inputs.
 };
 
-Json WorkerPayload(const std::string& query_id, const PipelineSpec& pipeline,
+/// `pipeline` is the stage's PipelineSpec::ToJson(), built once and shared
+/// by every fragment's payload.
+Json WorkerPayload(const std::string& query_id, const Json& pipeline,
                    int fragment,
                    const std::vector<WorkerInputAssignment>& inputs);
 

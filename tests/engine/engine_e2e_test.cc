@@ -12,6 +12,52 @@
 namespace skyrise::engine {
 namespace {
 
+/// Retention pin: memory follows in-flight work. Re-registers the engine's
+/// functions with each handler wrapped to keep a weak reference to every
+/// invocation's context. A context outlives its invocation only if something
+/// the handler left behind (a task, a closure) still owns it, so once the
+/// environment drains every reference must have expired.
+class RetentionProbe {
+ public:
+  [[nodiscard]] Status Deploy(QueryEngine* engine,
+                              faas::FunctionRegistry* registry) {
+    faas::FunctionRegistry staging;
+    SKYRISE_RETURN_IF_ERROR(engine->Deploy(&staging));
+    for (const char* function :
+         {kCoordinatorFunction, kWorkerFunction, kInvokerFunction}) {
+      faas::FunctionRegistry::Entry entry;
+      SKYRISE_ASSIGN_OR_RETURN(entry, staging.Find(function));
+      SKYRISE_RETURN_IF_ERROR(registry->Register(
+          entry.config,
+          [this, function, handler = std::move(entry.handler)](
+              const std::shared_ptr<faas::FunctionContext>& ctx) {
+            contexts_[function].push_back(ctx);
+            handler(ctx);
+          }));
+    }
+    return Status::OK();
+  }
+
+  /// Invocations of `function` seen so far.
+  size_t Invocations(const std::string& function) const {
+    auto it = contexts_.find(function);
+    return it == contexts_.end() ? 0 : it->second.size();
+  }
+
+  /// Contexts of `function` still alive.
+  size_t Live(const std::string& function) const {
+    auto it = contexts_.find(function);
+    if (it == contexts_.end()) return 0;
+    size_t live = 0;
+    for (const auto& ctx : it->second) live += ctx.expired() ? 0 : 1;
+    return live;
+  }
+
+ private:
+  std::map<std::string, std::vector<std::weak_ptr<faas::FunctionContext>>>
+      contexts_;
+};
+
 /// End-to-end: generated TPC data uploaded to simulated S3, queries executed
 /// by the distributed engine on the simulated FaaS platform (and the EC2
 /// shim), results compared against independent reference implementations.
@@ -55,15 +101,33 @@ class EngineE2ETest : public ::testing::Test {
     engine_ = std::make_unique<QueryEngine>(std::move(context));
     SKYRISE_CHECK_OK(engine_->Deploy(&registry_));
 
-    faas::LambdaPlatform::Options lambda_options;
-    lambda_options.account_concurrency = 10000;
     lambda_ = std::make_unique<faas::LambdaPlatform>(
-        &env_, &fabric_driver_, &registry_, lambda_options);
+        &env_, &fabric_driver_, &registry_, LambdaOptions());
+  }
+
+  static faas::LambdaPlatform::Options LambdaOptions() {
+    faas::LambdaPlatform::Options options;
+    options.account_concurrency = 10000;
+    return options;
+  }
+
+  /// Deploys the engine a second time behind `probe_`, on its own Lambda
+  /// platform.
+  faas::ComputePlatform* DeployProbed() {
+    SKYRISE_CHECK_OK(probe_.Deploy(engine_.get(), &probed_registry_));
+    probed_lambda_ = std::make_unique<faas::LambdaPlatform>(
+        &env_, &fabric_driver_, &probed_registry_, LambdaOptions());
+    return probed_lambda_.get();
   }
 
   QueryResponse RunOnLambda(const QueryPlan& plan, const std::string& id) {
+    return RunOn(lambda_.get(), plan, id);
+  }
+
+  QueryResponse RunOn(faas::ComputePlatform* platform, const QueryPlan& plan,
+                      const std::string& id) {
     Result<QueryResponse> outcome = Status::Internal("did not complete");
-    engine_->Run(lambda_.get(), plan, id,
+    engine_->Run(platform, plan, id,
                  [&](Result<QueryResponse> r) { outcome = std::move(r); });
     env_.RunUntil(env_.now() + Minutes(30));
     SKYRISE_CHECK_OK(outcome.status());
@@ -80,6 +144,25 @@ class EngineE2ETest : public ::testing::Test {
     return all;
   }
 
+  void ExpectQ12MatchesReference(const data::Chunk& result) {
+    auto lineitem = WholeTable(lineitem_, [&](int p) {
+      return datagen::GenerateLineitemPartition(tpch_, p, kPartitions);
+    }, kPartitions);
+    auto orders = WholeTable(orders_, [&](int p) {
+      return datagen::GenerateOrdersPartition(tpch_, p, kPartitions);
+    }, kPartitions);
+    const auto reference = ReferenceQ12(lineitem, orders);
+    ASSERT_EQ(result.rows(), static_cast<int64_t>(reference.size()));
+    for (size_t g = 0; g < reference.size(); ++g) {
+      EXPECT_EQ(result.column("l_shipmode").strings()[g],
+                reference[g].shipmode);
+      EXPECT_NEAR(result.column("high_line_count").doubles()[g],
+                  static_cast<double>(reference[g].high_line_count), 0.1);
+      EXPECT_NEAR(result.column("low_line_count").doubles()[g],
+                  static_cast<double>(reference[g].low_line_count), 0.1);
+    }
+  }
+
   sim::SimEnvironment env_{2024};
   net::Fabric fabric_;
   net::FabricDriver fabric_driver_;
@@ -93,6 +176,9 @@ class EngineE2ETest : public ::testing::Test {
   datagen::DatasetInfo lineitem_, orders_, clicks_, item_;
   std::unique_ptr<QueryEngine> engine_;
   std::unique_ptr<faas::LambdaPlatform> lambda_;
+  faas::FunctionRegistry probed_registry_;
+  RetentionProbe probe_;
+  std::unique_ptr<faas::LambdaPlatform> probed_lambda_;
 };
 
 TEST_F(EngineE2ETest, Q6MatchesReference) {
@@ -154,22 +240,7 @@ TEST_F(EngineE2ETest, Q12MatchesReference) {
   auto result = engine_->FetchResult("q12");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-  auto lineitem = WholeTable(lineitem_, [&](int p) {
-    return datagen::GenerateLineitemPartition(tpch_, p, kPartitions);
-  }, kPartitions);
-  auto orders = WholeTable(orders_, [&](int p) {
-    return datagen::GenerateOrdersPartition(tpch_, p, kPartitions);
-  }, kPartitions);
-  const auto reference = ReferenceQ12(lineitem, orders);
-  ASSERT_EQ(result->rows(), static_cast<int64_t>(reference.size()));
-  for (size_t g = 0; g < reference.size(); ++g) {
-    EXPECT_EQ(result->column("l_shipmode").strings()[g],
-              reference[g].shipmode);
-    EXPECT_NEAR(result->column("high_line_count").doubles()[g],
-                static_cast<double>(reference[g].high_line_count), 0.1);
-    EXPECT_NEAR(result->column("low_line_count").doubles()[g],
-                static_cast<double>(reference[g].low_line_count), 0.1);
-  }
+  ExpectQ12MatchesReference(*result);
 }
 
 TEST_F(EngineE2ETest, BbQ3MatchesReference) {
@@ -254,6 +325,50 @@ TEST_F(EngineE2ETest, SyntheticModeRunsSameQueryAtScale) {
                                  .GetInt("bytes_read");
   EXPECT_LT(bytes_read, 40LL * 182 * kMiB / 2);
   EXPECT_GT(bytes_read, 0);
+}
+
+TEST_F(EngineE2ETest, FinishedQueriesRetainNoInvocation) {
+  // Q6 reads a table input, Q12 a table build input and shuffle writes, and
+  // TPCx-BB Q3 a shuffle build input.
+  faas::ComputePlatform* lambda = DeployProbed();
+  QuerySuiteOptions suite;
+  suite.join_partitions = 4;
+  for (const QueryPlan& plan :
+       {BuildTpchQ6(), BuildTpchQ12(suite), BuildTpcxBbQ3(suite)}) {
+    EXPECT_GT(RunOn(lambda, plan, plan.query_name + "-retained").total_workers, 0);
+  }
+  env_.Run();
+
+  EXPECT_EQ(probe_.Invocations(kCoordinatorFunction), 3u);
+  EXPECT_GT(probe_.Invocations(kWorkerFunction), 10u);
+  for (const char* function :
+       {kCoordinatorFunction, kInvokerFunction, kWorkerFunction}) {
+    EXPECT_EQ(probe_.Live(function), 0u) << function;
+  }
+}
+
+TEST_F(EngineE2ETest, TwoLevelDispatchMatchesReference) {
+  // Every multi-fragment stage fans out through invoker functions, two
+  // fragments per invoker, so invoker batches are issued one after another.
+  engine_->context()->two_level_threshold = 2;
+  engine_->context()->invoker_fanout = 2;
+  faas::ComputePlatform* lambda = DeployProbed();
+  QuerySuiteOptions suite;
+  suite.join_partitions = 4;
+  EXPECT_GT(
+      RunOn(lambda, BuildTpchQ12(suite), "q12-two-level").total_workers, 0);
+  env_.Run();
+
+  // The lineitem scan (3 fragments) and the join (4) each need two batches.
+  EXPECT_GE(probe_.Invocations(kInvokerFunction), 4u);
+  for (const char* function :
+       {kCoordinatorFunction, kInvokerFunction, kWorkerFunction}) {
+    EXPECT_EQ(probe_.Live(function), 0u) << function;
+  }
+
+  auto result = engine_->FetchResult("q12-two-level");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectQ12MatchesReference(*result);
 }
 
 }  // namespace
