@@ -1,5 +1,6 @@
 #include "common/random.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/macros.h"
@@ -91,22 +92,7 @@ double Rng::Pareto(double scale, double alpha) {
 }
 
 int64_t Rng::Zipf(int64_t n, double s) {
-  SKYRISE_CHECK(n > 0);
-  if (s <= 0.0) return UniformInt(0, n - 1);
-  // Inverse-CDF on the generalized harmonic number via rejection-free
-  // approximation (adequate for workload skew modelling).
-  const double h = [&] {
-    double sum = 0;
-    for (int64_t k = 1; k <= n; ++k) sum += 1.0 / std::pow(k, s);
-    return sum;
-  }();
-  const double u = NextDouble() * h;
-  double acc = 0;
-  for (int64_t k = 1; k <= n; ++k) {
-    acc += 1.0 / std::pow(k, s);
-    if (acc >= u) return k - 1;
-  }
-  return n - 1;
+  return ZipfSampler(n, s).Sample(this);
 }
 
 void Rng::FillBytes(uint8_t* out, size_t n) {
@@ -120,6 +106,25 @@ void Rng::FillBytes(uint8_t* out, size_t n) {
     const uint64_t v = NextUint64();
     std::memcpy(out + i, &v, n - i);
   }
+}
+
+ZipfSampler::ZipfSampler(int64_t n, double s) : n_(n) {
+  SKYRISE_CHECK(n > 0);
+  if (s <= 0.0) return;
+  prefix_.reserve(static_cast<size_t>(n));
+  double acc = 0;
+  for (int64_t k = 1; k <= n; ++k) {
+    acc += 1.0 / std::pow(k, s);
+    prefix_.push_back(acc);
+  }
+}
+
+int64_t ZipfSampler::Sample(Rng* rng) const {
+  if (prefix_.empty()) return rng->UniformInt(0, n_ - 1);
+  const double u = rng->NextDouble() * prefix_.back();
+  const auto it = std::lower_bound(prefix_.begin(), prefix_.end(), u);
+  if (it == prefix_.end()) return n_ - 1;
+  return it - prefix_.begin();
 }
 
 }  // namespace skyrise

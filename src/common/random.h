@@ -51,6 +51,7 @@ class Rng {
   double Pareto(double scale, double alpha);
 
   /// Zipf-distributed integer in [0, n) with skew s (s=0 → uniform).
+  /// Builds a ZipfSampler per call: O(n); hoist a ZipfSampler out of loops.
   int64_t Zipf(int64_t n, double s);
 
   /// Fills `out` with random bytes (for synthetic payload generation).
@@ -67,6 +68,21 @@ class Rng {
 
  private:
   uint64_t s_[4];
+};
+
+/// Zipf-distributed integers in [0, n) with skew s, built once per (n, s):
+/// holds the prefix sums of 1/k^s (k = 1..n, accumulated in order), so a
+/// draw is one uniform u in [0, sum) plus a binary search for the first
+/// prefix >= u. For s <= 0 a draw is Rng::UniformInt(0, n - 1).
+class ZipfSampler {
+ public:
+  ZipfSampler(int64_t n, double s);
+
+  int64_t Sample(Rng* rng) const;
+
+ private:
+  int64_t n_;
+  std::vector<double> prefix_;  ///< Empty when s <= 0.
 };
 
 }  // namespace skyrise

@@ -52,6 +52,8 @@ data::Chunk GenerateClickstreamsPartition(const TpcxBbConfig& config,
   auto& sale = chunk.column(3).ints();
 
   const int32_t max_day = 365 * 2;  // Two years of click history.
+  // Item popularity is skewed (Zipf), as in web click data.
+  const ZipfSampler item_popularity(items, 0.8);
   int64_t next_sale_sk = first_user * 1000 + 1;
   for (int64_t u = first_user; u < first_user + user_count; ++u) {
     Rng rng = Rng(config.seed).Fork(static_cast<uint64_t>(u) + 1);
@@ -64,8 +66,7 @@ data::Chunk GenerateClickstreamsPartition(const TpcxBbConfig& config,
       if (day > max_day) day = max_day;
       date.push_back(day);
       user.push_back(u);
-      // Item popularity is skewed (Zipf), as in web click data.
-      item.push_back(1 + rng.Zipf(items, 0.8));
+      item.push_back(1 + item_popularity.Sample(&rng));
       // ~8% of clicks are purchases.
       sale.push_back(rng.Bernoulli(0.08) ? next_sale_sk++ : 0);
     }

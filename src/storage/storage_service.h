@@ -22,7 +22,6 @@
 /// (quotas/throttling) -> first-byte latency -> optional payload streaming
 /// through the network fabric -> completion callback.
 
-// skyrise-domain(storage-partition)
 namespace skyrise::storage {
 
 /// Per-client request context. When `nic` and `fabric` are set, payloads at
@@ -32,9 +31,7 @@ namespace skyrise::storage {
 struct ClientContext {
   // The requesting client's NIC, passed so streaming transfers go through
   // the StartTransfer crossing.
-  // skyrise-check: allow(domain-escape) — NIC attachment, crossings only.
   net::Nic* nic = nullptr;
-  // skyrise-check: allow(domain-escape) — network attachment, see nic.
   net::FabricDriver* fabric = nullptr;
   net::VpcId vpc = net::kNoVpc;
   pricing::CostMeter* meter = nullptr;  ///< Request metering hook (optional).

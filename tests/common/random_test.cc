@@ -117,6 +117,40 @@ TEST(RngTest, ZipfZeroSkewIsUniformish) {
   for (int c : counts) EXPECT_NEAR(c, 10000, 600);
 }
 
+/// The per-draw Zipf loop ZipfSampler replaced: sums the harmonic series for
+/// the normalizer, then walks it again to the first prefix >= u. Kept as the
+/// reference the sampler must match draw for draw.
+int64_t ReferenceZipf(Rng* rng, int64_t n, double s) {
+  if (s <= 0.0) return rng->UniformInt(0, n - 1);
+  double h = 0;
+  for (int64_t k = 1; k <= n; ++k) h += 1.0 / std::pow(k, s);
+  const double u = rng->NextDouble() * h;
+  double acc = 0;
+  for (int64_t k = 1; k <= n; ++k) {
+    acc += 1.0 / std::pow(k, s);
+    if (acc >= u) return k - 1;
+  }
+  return n - 1;
+}
+
+TEST(RngTest, ZipfSamplerMatchesReferenceLoopDrawForDraw) {
+  for (uint64_t seed : {1u, 7u, 2024u}) {
+    for (int64_t n : {1, 2, 20, 1000}) {
+      for (double s : {-1.0, 0.0, 0.5, 0.8, 1.0, 2.5}) {
+        Rng expected(seed), sampled(seed), wrapped(seed);
+        const ZipfSampler sampler(n, s);
+        for (int i = 0; i < 500; ++i) {
+          const int64_t want = ReferenceZipf(&expected, n, s);
+          ASSERT_EQ(sampler.Sample(&sampled), want)
+              << "seed " << seed << " n " << n << " s " << s << " draw " << i;
+          ASSERT_EQ(wrapped.Zipf(n, s), want)
+              << "seed " << seed << " n " << n << " s " << s << " draw " << i;
+        }
+      }
+    }
+  }
+}
+
 TEST(RngTest, FillBytesFillsEveryLength) {
   Rng rng(37);
   for (size_t len : {0u, 1u, 7u, 8u, 9u, 64u, 1000u}) {

@@ -1,11 +1,11 @@
 // Fixture: statement-level calls that drop a Status/Result return value.
+// Must fail to compile; see CompilerGate.DiscardedStatus in tests/CMakeLists.txt.
 #include <string>
 
-namespace skyrise {
+#include "common/result.h"
+#include "common/status.h"
 
-class Status {};
-template <typename T>
-class Result {};
+namespace skyrise {
 
 Status WriteThing(const std::string& key);
 Result<int> ComputeThing();

@@ -10,20 +10,16 @@
 #include <string>
 #include <vector>
 
-#include "baseline.h"
 #include "cfg.h"
-#include "domains.h"
-#include "explain.h"
 #include "lexer.h"
-#include "nodiscard.h"
 #include "sarif.h"
 #include "state_audit.h"
 
 /// Golden-fixture tests for the skyrise_check lint pass: every rule family
 /// has a fixture that fires, an allowed twin showing the sanctioned pattern,
 /// and a suppressed twin that must be clean; plus a test pinning the real
-/// tree at zero violations, a robustness test that the CFG layer parses
-/// every file in the repo, and idempotence tests for `--fix`.
+/// tree at zero violations and a robustness test that the CFG layer parses
+/// every file in the repo.
 
 namespace skyrise::check {
 namespace {
@@ -56,16 +52,6 @@ TEST(SkyriseCheckGolden, BannedApiFires) {
 
 TEST(SkyriseCheckGolden, BannedApiSuppressed) {
   EXPECT_EQ(LintFixture("banned_api_suppressed.cc"), "");
-}
-
-TEST(SkyriseCheckGolden, DiscardedStatusFires) {
-  EXPECT_EQ(
-      LintFixture("discarded_status_violation.cc"),
-      ReadFile(kFixtureDir + std::string("discarded_status_violation.expected")));
-}
-
-TEST(SkyriseCheckGolden, DiscardedStatusSuppressed) {
-  EXPECT_EQ(LintFixture("discarded_status_suppressed.cc"), "");
 }
 
 TEST(SkyriseCheckGolden, UnorderedIterationFires) {
@@ -216,8 +202,7 @@ INSTANTIATE_TEST_SUITE_P(
         RuleFixture{"StatusPathDrop", "status_path_drop", ".cc"},
         RuleFixture{"UseAfterMove", "use_after_move", ".cc"},
         RuleFixture{"SpanLeak", "span_leak", ".cc"},
-        RuleFixture{"UnorderedTaint", "unordered_taint", ".cc"},
-        RuleFixture{"MissingNodiscard", "missing_nodiscard", ".h"}),
+        RuleFixture{"UnorderedTaint", "unordered_taint", ".cc"}),
     [](const ::testing::TestParamInfo<RuleFixture>& info) {
       return std::string(info.param.test_name);
     });
@@ -236,21 +221,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<RuleFixture>& info) {
       return std::string(info.param.test_name);
     });
-
-// The v4 domain-ownership rule families follow the same contract: a
-// violation golden, an allowed twin (sanctioned crossing shapes), and a
-// suppressed twin (inline justification).
-INSTANTIATE_TEST_SUITE_P(
-    DomainRules, SkyriseCheckFlowGolden,
-    ::testing::Values(
-        RuleFixture{"DomainEscape", "domain_escape", ".cc"},
-        RuleFixture{"CrossDomainMutation", "cross_domain_mutation", ".cc"},
-        RuleFixture{"LockDiscipline", "lock_discipline", ".cc"}),
-    [](const ::testing::TestParamInfo<RuleFixture>& info) {
-      return std::string(info.param.test_name);
-    });
-
-// --- v3 interprocedural rules ----------------------------------------------
 
 TEST(SkyriseCheckInterproc, CrossTuTaintReachesThreeCallsDeep) {
   // A steady_clock wrapper in one TU taints callers two files away; each hop
@@ -376,97 +346,7 @@ TEST(SkyriseCheckState, InventoryHasNoUnclassifiedEntries) {
   EXPECT_NE(inventory.find("g_level"), std::string::npos);
 }
 
-// --- domain inventory -------------------------------------------------------
-
-TEST(SkyriseCheckDomain, CheckedInInventoryIsCurrent) {
-  // CI regenerates the domain inventory and diffs; this test is the local
-  // mirror of that ratchet. If it fails, rebuild and run:
-  //   skyrise_check --root . --domain-inventory tools/skyrise_check/domain_inventory.json
-  EXPECT_EQ(
-      RenderDomainInventoryForTree(SKYRISE_SOURCE_DIR),
-      ReadFile(SKYRISE_SOURCE_DIR "/tools/skyrise_check/domain_inventory.json"));
-}
-
-TEST(SkyriseCheckDomain, InventoryHasNoUnjustifiedCrossings) {
-  // Every recorded crossing edge must carry a sanction (event-api,
-  // crossing-point, const-read, or an inline allow); a "violation" entry is
-  // exactly what the domain rules reject.
-  const std::string inventory =
-      RenderDomainInventoryForTree(SKYRISE_SOURCE_DIR);
-  EXPECT_EQ(inventory.find("\"sanction\": \"violation\""), std::string::npos);
-  // The audit is not vacuous: the tree has domains, crossings, and declared
-  // crossing points.
-  EXPECT_NE(inventory.find("\"crossings\""), std::string::npos);
-  EXPECT_NE(inventory.find("\"crossing-point\""), std::string::npos);
-  EXPECT_NE(inventory.find("\"event-api\""), std::string::npos);
-}
-
-TEST(SkyriseCheckDomain, AnnotationOverridesNamespaceInference) {
-  Checker checker;
-  const auto diags = checker.CheckSources(
-      {{"src/serving/fake.cc",
-        "// skyrise-domain(sandbox-fleet)\n"
-        "namespace skyrise::serving {\n"
-        "class FakeFleet {\n"
-        " public:\n"
-        "  void Invoke() { ++calls_; }\n"
-        " private:\n"
-        "  long calls_ = 0;\n"
-        "};\n"
-        "}  // namespace skyrise::serving\n"}});
-  EXPECT_TRUE(diags.empty());
-  // The annotated domain shows up in the inventory with provenance.
-  SymbolIndex index;
-  index.AddFile(Preprocess(
-      "src/serving/fake.cc",
-      "// skyrise-domain(sandbox-fleet)\n"
-      "namespace skyrise::serving {\n"
-      "class FakeFleet {};\n"
-      "}  // namespace skyrise::serving\n"));
-  ASSERT_EQ(index.classes().size(), 1u);
-  EXPECT_EQ(index.classes()[0].domain, "sandbox-fleet");
-  EXPECT_EQ(std::string(index.classes()[0].domain_source), "annotation");
-}
-
-TEST(SkyriseCheckDomain, UnknownDomainNameIsFlagged) {
-  Checker checker;
-  const auto diags = checker.CheckSources(
-      {{"src/engine/x.cc",
-        "// skyrise-domain(warp-core)\n"
-        "namespace skyrise::engine {}\n"}});
-  ASSERT_EQ(diags.size(), 1u);
-  EXPECT_EQ(diags[0].rule, "domain-escape");
-  EXPECT_NE(diags[0].message.find("warp-core"), std::string::npos);
-}
-
-// --- --explain ---------------------------------------------------------------
-
-TEST(SkyriseCheckExplain, EveryRuleHasADocAndEveryDocARule) {
-  const std::vector<std::string>& ids = Checker::RuleIds();
-  EXPECT_EQ(RuleDocs().size(), ids.size());
-  for (const std::string& id : ids) {
-    const RuleDoc* doc = FindRuleDoc(id);
-    ASSERT_NE(doc, nullptr) << "no RuleDoc for rule id " << id;
-    EXPECT_FALSE(std::string(doc->invariant).empty()) << id;
-    EXPECT_FALSE(std::string(doc->example).empty()) << id;
-  }
-  for (const RuleDoc& doc : RuleDocs()) {
-    EXPECT_NE(std::find(ids.begin(), ids.end(), std::string(doc.id)),
-              ids.end())
-        << "RuleDoc for unknown rule id " << doc.id;
-  }
-}
-
-TEST(SkyriseCheckExplain, RendersRuleAndRejectsUnknown) {
-  const std::string one = RenderExplain("lock-discipline");
-  EXPECT_NE(one.find("lock-discipline"), std::string::npos);
-  EXPECT_NE(one.find("DESIGN.md"), std::string::npos);
-  EXPECT_TRUE(RenderExplain("no-such-rule").empty());
-  const std::string all = RenderExplain("all");
-  for (const std::string& id : Checker::RuleIds()) {
-    EXPECT_NE(all.find(id), std::string::npos) << id;
-  }
-}
+// --- DESIGN.md section 6 ----------------------------------------------------
 
 TEST(SkyriseCheckExplain, EveryRuleIdIsDocumentedInDesignSection6) {
   // The doc_check-style contract: DESIGN.md section 6 lists every rule id in
@@ -510,49 +390,14 @@ TEST(SkyriseCheckExplain, EveryRuleIdIsDocumentedInDesignSection6) {
   }
 }
 
-// --- parallel driver ---------------------------------------------------------
-
-TEST(SkyriseCheckParallel, DiagnosticsAreIdenticalAcrossJobCounts) {
-  // The per-file phases fan out over a worker pool; per-file result slots
-  // merged in file order make the output byte-identical for any job count.
-  PhaseTimings seq;
-  PhaseTimings par;
-  const std::vector<Diagnostic> one =
-      CheckTree(SKYRISE_SOURCE_DIR, {"src"}, 1, &seq);
-  const std::vector<Diagnostic> four =
-      CheckTree(SKYRISE_SOURCE_DIR, {"src"}, 4, &par);
-  ASSERT_EQ(one.size(), four.size());
-  for (size_t i = 0; i < one.size(); ++i) {
-    EXPECT_EQ(FormatDiagnostic(one[i]), FormatDiagnostic(four[i]));
-  }
-  EXPECT_EQ(seq.jobs, 1u);
-  EXPECT_EQ(par.jobs, 4u);
-  EXPECT_GT(seq.files, 100u);
-  EXPECT_EQ(seq.files, par.files);
-}
-
-TEST(SkyriseCheckParallel, PhaseTimingsCoverThePipeline) {
-  PhaseTimings timings;
-  (void)CheckTree(SKYRISE_SOURCE_DIR, {"src"}, 2, &timings);
-  // Phases are measured (>= 0) and the total covers the run.
-  EXPECT_GE(timings.preprocess_ms, 0.0);
-  EXPECT_GE(timings.collect_ms, 0.0);
-  EXPECT_GE(timings.index_ms, 0.0);
-  EXPECT_GE(timings.per_file_ms, 0.0);
-  EXPECT_GE(timings.interproc_ms, 0.0);
-  EXPECT_GT(timings.total_ms, 0.0);
-  EXPECT_GE(timings.total_ms, timings.interproc_ms);
-}
-
 // --- linter self-performance ------------------------------------------------
 
 TEST(SkyriseCheckPerf, WholeTreeInterproceduralPassStaysFast) {
-  // The interprocedural pass (index + graph + taint/retry/state/domains on
-  // top of the flow rules) must stay interactive over the whole repo. The
-  // budget is ~50x the measured debug-build time, so it only trips on a
-  // complexity regression (e.g. quadratic resolution), not machine noise.
-  // The v4 pin is half the v3 one: the per-file phases now fan out over a
-  // worker pool and must never regress past interactive latency.
+  // The interprocedural pass (index + graph + taint/retry/state on top of
+  // the flow rules) must stay interactive over the whole repo. The 15 s
+  // budget is about 50x the whole-tree time of a Release build on a 4-core
+  // Xeon (0.25-0.31 s), so it only trips on a complexity regression (e.g.
+  // quadratic resolution), not machine noise.
   // skyrise-check: allow(banned-api, transitive-nondeterminism)
   const auto t0 = std::chrono::steady_clock::now();
   const std::vector<Diagnostic> diags = CheckTree(
@@ -592,18 +437,6 @@ TEST(SkyriseCheckFlow, LoopCarriedMoveIsCaught) {
                              "}\n"}});
   ASSERT_EQ(diags.size(), 1u);
   EXPECT_EQ(diags[0].rule, "use-after-move");
-}
-
-TEST(SkyriseCheckFlow, MissingNodiscardScopedToSrcHeaders) {
-  const std::string src = "#pragma once\nStatus Flush();\n";
-  Checker checker;
-  const auto in_src = checker.CheckSources({{"src/engine/api.h", src}});
-  ASSERT_EQ(in_src.size(), 1u);
-  EXPECT_EQ(in_src[0].rule, "missing-nodiscard");
-  // Implementation files and non-src headers inherit the contract from the
-  // annotated declaration; they are out of scope.
-  EXPECT_TRUE(checker.CheckSources({{"src/engine/api.cc", src}}).empty());
-  EXPECT_TRUE(checker.CheckSources({{"tests/util/helpers.h", src}}).empty());
 }
 
 // --- CFG robustness ---------------------------------------------------------
@@ -649,96 +482,6 @@ TEST(SkyriseCheckCfg, LambdaBodiesAreSeparateScopes) {
   EXPECT_FALSE(scopes[0].is_lambda);
   EXPECT_EQ(scopes[0].name, "Outer");
   EXPECT_TRUE(scopes[1].is_lambda);
-}
-
-// --- --fix rewriter ---------------------------------------------------------
-
-TEST(SkyriseCheckFix, InsertsNodiscardAndPragmaOnce) {
-  const std::string original =
-      "class Store {\n"
-      " public:\n"
-      "  Status Flush();\n"
-      "  static Result<int> Count();\n"
-      "};\n";
-  const SourceFile sf = Preprocess("src/store.h", original);
-  const std::string fixed = ApplyMechanicalFixes(sf, original);
-  EXPECT_NE(fixed.find("#pragma once"), std::string::npos);
-  EXPECT_NE(fixed.find("  [[nodiscard]] Status Flush();"), std::string::npos);
-  EXPECT_NE(fixed.find("  [[nodiscard]] static Result<int> Count();"),
-            std::string::npos);
-  // The fixed file lints clean for the mechanical rules.
-  Checker checker;
-  for (const Diagnostic& d :
-       checker.CheckSources({{"src/store.h", fixed}})) {
-    EXPECT_NE(d.rule, "missing-nodiscard") << FormatDiagnostic(d);
-    EXPECT_NE(d.rule, "pragma-once") << FormatDiagnostic(d);
-  }
-}
-
-TEST(SkyriseCheckFix, FixIsIdempotent) {
-  const std::string original =
-      "class Store {\n"
-      " public:\n"
-      "  Status Flush();\n"
-      "};\n";
-  const SourceFile sf = Preprocess("src/store.h", original);
-  const std::string once = ApplyMechanicalFixes(sf, original);
-  const SourceFile sf2 = Preprocess("src/store.h", once);
-  const std::string twice = ApplyMechanicalFixes(sf2, once);
-  EXPECT_NE(once, original);
-  EXPECT_EQ(twice, once);
-}
-
-TEST(SkyriseCheckFix, SuppressedFindingsAreNotFixed) {
-  const std::string original =
-      "#pragma once\n"
-      "class Store {\n"
-      " public:\n"
-      "  // Fire-and-forget by contract. skyrise-check: allow(missing-nodiscard)\n"
-      "  Status Flush();\n"
-      "};\n";
-  const SourceFile sf = Preprocess("src/store.h", original);
-  EXPECT_EQ(ApplyMechanicalFixes(sf, original), original);
-}
-
-TEST(SkyriseCheckFix, RealTreeIsFullyFixed) {
-  // --fix over the repo must be a no-op: every mechanical finding is either
-  // fixed or explicitly suppressed.
-  for (const TreeFile& tf :
-       LoadTree(SKYRISE_SOURCE_DIR,
-                {"src", "examples", "bench", "tests", "tools"})) {
-    const SourceFile sf = Preprocess(tf.rel, tf.contents);
-    EXPECT_EQ(ApplyMechanicalFixes(sf, tf.contents), tf.contents) << tf.rel;
-  }
-}
-
-// --- baseline ratchet -------------------------------------------------------
-
-TEST(SkyriseCheckBaseline, FiltersKnownFindingsOnly) {
-  const Diagnostic known{"a.cc", 3, "banned-api", "old"};
-  const Diagnostic fresh{"b.cc", 9, "span-leak", "new"};
-  const std::set<std::string> baseline =
-      ParseBaseline("# comment\n\n  " + FormatDiagnostic(known) + "  \n");
-  const std::vector<Diagnostic> out =
-      FilterBaseline({known, fresh}, baseline);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].file, "b.cc");
-}
-
-TEST(SkyriseCheckBaseline, RenderRoundTrips) {
-  const Diagnostic d{"a.cc", 3, "banned-api", "why"};
-  const std::set<std::string> parsed = ParseBaseline(RenderBaseline({d}));
-  ASSERT_EQ(parsed.size(), 1u);
-  EXPECT_EQ(*parsed.begin(), FormatDiagnostic(d));
-}
-
-TEST(SkyriseCheckBaseline, CheckedInBaselineIsEmpty) {
-  // The ratchet's goal state: no accepted legacy findings. If this fails,
-  // someone added a baseline entry instead of fixing or suppressing.
-  std::set<std::string> baseline;
-  ASSERT_TRUE(LoadBaselineFile(
-      SKYRISE_SOURCE_DIR "/tools/skyrise_check/baseline.txt", &baseline));
-  EXPECT_TRUE(baseline.empty());
 }
 
 TEST(SkyriseCheckPreprocess, StripsCommentsAndLiterals) {
