@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cfg.h"
@@ -168,11 +169,32 @@ TEST(SkyriseCheckGolden, SimHotPathScopedToSim) {
 
 // --- v2 flow-sensitive rules -----------------------------------------------
 
+// A rule's fixture stem; the test suffix is the stem in CamelCase
+// (span_leak -> SpanLeak). gtest appends the parameter's raw bytes to each
+// test id. With the stem held as a string_view (length first) those bytes
+// begin with the stem's length, not with a load address that moves with
+// every relink and every run.
 struct RuleFixture {
-  const char* test_name;
-  const char* stem;
+  std::string_view stem;
   const char* ext;
 };
+
+std::string FixtureTestName(
+    const ::testing::TestParamInfo<RuleFixture>& info) {
+  std::string name;
+  bool word_start = true;
+  for (const char c : info.param.stem) {
+    if (c == '_') {
+      word_start = true;
+      continue;
+    }
+    name += word_start
+                ? static_cast<char>(std::toupper(static_cast<unsigned char>(c)))
+                : c;
+    word_start = false;
+  }
+  return name;
+}
 
 class SkyriseCheckFlowGolden : public ::testing::TestWithParam<RuleFixture> {};
 
@@ -198,29 +220,23 @@ TEST_P(SkyriseCheckFlowGolden, SuppressionSilences) {
 INSTANTIATE_TEST_SUITE_P(
     AllFlowRules, SkyriseCheckFlowGolden,
     ::testing::Values(
-        RuleFixture{"UncheckedResultAccess", "unchecked_result_access", ".cc"},
-        RuleFixture{"StatusPathDrop", "status_path_drop", ".cc"},
-        RuleFixture{"UseAfterMove", "use_after_move", ".cc"},
-        RuleFixture{"SpanLeak", "span_leak", ".cc"},
-        RuleFixture{"UnorderedTaint", "unordered_taint", ".cc"}),
-    [](const ::testing::TestParamInfo<RuleFixture>& info) {
-      return std::string(info.param.test_name);
-    });
+        RuleFixture{"unchecked_result_access", ".cc"},
+        RuleFixture{"status_path_drop", ".cc"},
+        RuleFixture{"use_after_move", ".cc"},
+        RuleFixture{"span_leak", ".cc"},
+        RuleFixture{"unordered_taint", ".cc"}),
+    FixtureTestName);
 
 // The v3 interprocedural rule families reuse the same fixture contract:
 // a violation golden, an allowed twin, and a suppressed twin.
 INSTANTIATE_TEST_SUITE_P(
     InterproceduralRules, SkyriseCheckFlowGolden,
     ::testing::Values(
-        RuleFixture{"TransitiveNondeterminism", "transitive_nondeterminism",
-                    ".cc"},
-        RuleFixture{"SharedMutableState", "shared_mutable_state", ".cc"},
-        RuleFixture{"SpanTransferLeak", "span_transfer_leak", ".cc"},
-        RuleFixture{"UnboundedRetryWrapper", "unbounded_retry_wrapper",
-                    ".cc"}),
-    [](const ::testing::TestParamInfo<RuleFixture>& info) {
-      return std::string(info.param.test_name);
-    });
+        RuleFixture{"transitive_nondeterminism", ".cc"},
+        RuleFixture{"shared_mutable_state", ".cc"},
+        RuleFixture{"span_transfer_leak", ".cc"},
+        RuleFixture{"unbounded_retry_wrapper", ".cc"}),
+    FixtureTestName);
 
 TEST(SkyriseCheckInterproc, CrossTuTaintReachesThreeCallsDeep) {
   // A steady_clock wrapper in one TU taints callers two files away; each hop
