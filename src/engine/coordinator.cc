@@ -469,8 +469,8 @@ class CoordinatorTask : public std::enable_shared_from_this<CoordinatorTask> {
     const obs::SpanId attempt_span = BeginAttempt(state, f, &payload);
     // `attempt_span` is a tracing id, not retry state, and the invocation is
     // bounded end to end by the propagated "deadline_us" in the payload (the
-    // platform clamps execution lifetime to it — see faas/ec2_fleet.cc /
-    // lambda_platform.cc). skyrise-check: allow(unbounded-retry-wrapper)
+    // platforms clamp execution lifetime to it — see RunExecution in
+    // faas/execution.cc). skyrise-check: allow(unbounded-retry-wrapper)
     ec_->worker_platform->Invoke(
         kWorkerFunction, std::move(payload),
         [self, state, f, attempt_span](Result<Json> r) {
@@ -613,30 +613,25 @@ class CoordinatorTask : public std::enable_shared_from_this<CoordinatorTask> {
       if (!frag.completed && frag.outstanding == 0) {
         // No other attempt can still save this fragment: retry or give up.
         if (frag.attempts >= ec_->worker_max_attempts) {
-          state->failed = true;
-          ec_->env->Cancel(state->spec_timer);
-          if (tracer_ != nullptr) tracer_->EndWith(state->span, "error");
-          Fail(Status::Internal(
-              "pipeline " + std::to_string(state->pipeline->id) +
-              " fragment " + std::to_string(f) + " failed after " +
-              std::to_string(frag.attempts) +
-              " attempts: " + frag.last_error));
+          FailStage(state, /*metric=*/nullptr,
+                    Status::Internal(
+                        "pipeline " + std::to_string(state->pipeline->id) +
+                        " fragment " + std::to_string(f) + " failed after " +
+                        std::to_string(frag.attempts) +
+                        " attempts: " + frag.last_error));
           return;
         }
         // Every re-invocation draws from the query's shared retry pool; an
         // empty pool means retries across all layers have hit their cap, so
         // shed typed rather than amplify the fault storm.
         if (budget_ != nullptr && !budget_->TryAcquire()) {
-          state->failed = true;
-          ec_->env->Cancel(state->spec_timer);
-          if (tracer_ != nullptr) tracer_->EndWith(state->span, "error");
-          if (metrics_ != nullptr) metrics_->Add("coord.budget_sheds");
-          Fail(Status::ResourceExhausted(
-              "retry budget exhausted; pipeline " +
-              std::to_string(state->pipeline->id) + " fragment " +
-              std::to_string(f) + " failed after " +
-              std::to_string(frag.attempts) +
-              " attempts: " + frag.last_error));
+          FailStage(state, "coord.budget_sheds",
+                    Status::ResourceExhausted(
+                        "retry budget exhausted; pipeline " +
+                        std::to_string(state->pipeline->id) + " fragment " +
+                        std::to_string(f) + " failed after " +
+                        std::to_string(frag.attempts) +
+                        " attempts: " + frag.last_error));
           return;
         }
         ++state->retries;
@@ -650,18 +645,13 @@ class CoordinatorTask : public std::enable_shared_from_this<CoordinatorTask> {
           // backoff; re-check at dispatch time.
           CircuitBreaker* breaker = self->ec_->invoke_breaker;
           if (breaker != nullptr && !breaker->Allow(self->Now())) {
-            state->failed = true;
-            self->ec_->env->Cancel(state->spec_timer);
-            if (self->tracer_ != nullptr) {
-              self->tracer_->EndWith(state->span, "error");
-            }
-            if (self->metrics_ != nullptr) {
-              self->metrics_->Add("coord.breaker_sheds");
-            }
-            self->Fail(Status::ResourceExhausted(StrFormat(
-                "invoke circuit open on retry of fragment %d; retry after "
-                "%lld us",
-                f, static_cast<long long>(breaker->RetryAfter(self->Now())))));
+            self->FailStage(
+                state, "coord.breaker_sheds",
+                Status::ResourceExhausted(StrFormat(
+                    "invoke circuit open on retry of fragment %d; retry "
+                    "after %lld us",
+                    f, static_cast<long long>(
+                           breaker->RetryAfter(self->Now())))));
             return;
           }
           self->InvokeFragment(state, f);
@@ -672,6 +662,17 @@ class CoordinatorTask : public std::enable_shared_from_this<CoordinatorTask> {
     }
     // A slot freed up: continue dispatching the wave.
     if (state->fragments < ec_->two_level_threshold) DispatchDirect(state);
+  }
+
+  /// The one way a stage fails: stop its speculation sweep, close its span
+  /// as "error", count `metric` (when given) and fail the query.
+  void FailStage(const std::shared_ptr<StageState>& state,
+                 const char* metric, Status status) {
+    state->failed = true;
+    ec_->env->Cancel(state->spec_timer);
+    if (tracer_ != nullptr) tracer_->EndWith(state->span, "error");
+    if (metric != nullptr && metrics_ != nullptr) metrics_->Add(metric);
+    Fail(std::move(status));
   }
 
   // --- Straggler speculation. ---

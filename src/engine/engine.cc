@@ -86,16 +86,13 @@ Result<data::Chunk> QueryEngine::FetchResult(
   storage::Blob blob;
   SKYRISE_ASSIGN_OR_RETURN(blob,
                            context_.shuffle_store->Peek(ResultKey(query_id)));
+  format::FileMeta meta;
+  SKYRISE_ASSIGN_OR_RETURN(meta, ResolveFooter(context_.catalog,
+                                               ResultKey(query_id), blob, 0,
+                                               blob.size()));
   if (blob.is_synthetic()) {
-    format::FileMeta meta;
-    SKYRISE_ASSIGN_OR_RETURN(meta,
-                             context_.catalog->Find(ResultKey(query_id)));
     return data::Chunk::Synthetic(meta.schema, meta.TotalRows());
   }
-  format::FileMeta meta;
-  SKYRISE_ASSIGN_OR_RETURN(
-      meta, format::ParseFooter(blob.data(), 0,
-                                static_cast<int64_t>(blob.size())));
   std::vector<std::string> projection;
   for (const auto& f : meta.schema.fields()) projection.push_back(f.name);
   data::Chunk out = data::Chunk::Empty(meta.schema);

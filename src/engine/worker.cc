@@ -188,24 +188,13 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
             return;
           }
           self->bytes_read_ += result->size();
-          format::FileMeta meta;
-          if (result->is_synthetic()) {
-            auto found = self->ec_->catalog->Find(file.key);
-            if (!found.ok()) {
-              self->Fail(found.status());
-              return;
-            }
-            meta = std::move(found).ValueUnsafe();
-          } else {
-            auto parsed = format::ParseFooter(result->data(),
-                                              file.size - fetch, file.size);
-            if (!parsed.ok()) {
-              self->Fail(parsed.status());
-              return;
-            }
-            meta = std::move(parsed).ValueUnsafe();
+          auto meta = ResolveFooter(self->ec_->catalog, file.key, *result,
+                                    file.size - fetch, file.size);
+          if (!meta.ok()) {
+            self->Fail(meta.status());
+            return;
           }
-          then(std::move(meta));
+          then(std::move(meta).ValueUnsafe());
         });
   }
 
@@ -473,23 +462,12 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
 
   bool DecodeShuffleObject(const std::string& key, const Blob& blob,
                            std::vector<Chunk>* out) {
-    format::FileMeta meta;
-    if (blob.is_synthetic()) {
-      auto found = ec_->catalog->Find(key);
-      if (!found.ok()) {
-        Fail(found.status());
-        return false;
-      }
-      meta = std::move(found).ValueUnsafe();
-    } else {
-      auto parsed = format::ParseFooter(blob.data(), 0,
-                                        static_cast<int64_t>(blob.size()));
-      if (!parsed.ok()) {
-        Fail(parsed.status());
-        return false;
-      }
-      meta = std::move(parsed).ValueUnsafe();
+    auto resolved = ResolveFooter(ec_->catalog, key, blob, 0, blob.size());
+    if (!resolved.ok()) {
+      Fail(resolved.status());
+      return false;
     }
+    const format::FileMeta meta = std::move(resolved).ValueUnsafe();
     cost_.AddNs(static_cast<double>(blob.size()) *
                 cost_.model().decode_ns_per_byte);
     std::vector<std::string> projection;
@@ -820,6 +798,13 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
 };
 
 }  // namespace
+
+Result<format::FileMeta> ResolveFooter(
+    const format::SyntheticFileCatalog* catalog, const std::string& key,
+    const storage::Blob& tail, int64_t tail_offset, int64_t file_size) {
+  if (tail.is_synthetic()) return catalog->Find(key);
+  return format::ParseFooter(tail.data(), tail_offset, file_size);
+}
 
 faas::FunctionHandler MakeWorkerHandler(EngineContext* context) {
   return [context](const std::shared_ptr<faas::FunctionContext>& fctx) {

@@ -15,6 +15,14 @@ namespace skyrise::engine {
 /// kWorkerFunction on both platforms.
 faas::FunctionHandler MakeWorkerHandler(EngineContext* context);
 
+/// The one place that decides where a COF file's footer comes from: the
+/// synthetic `catalog` entry for `key` when `tail` carries no real bytes,
+/// else the footer parsed out of `tail`, the file's bytes from `tail_offset`
+/// to its end at `file_size`.
+[[nodiscard]] Result<format::FileMeta> ResolveFooter(
+    const format::SyntheticFileCatalog* catalog, const std::string& key,
+    const storage::Blob& tail, int64_t tail_offset, int64_t file_size);
+
 /// Payload helpers (also used by the coordinator).
 struct TableFileAssignment {
   std::string key;

@@ -1,8 +1,6 @@
 #include "faas/ec2_fleet.h"
 
-#include <algorithm>
-
-#include "common/deadline.h"
+#include "faas/execution.h"
 
 namespace skyrise::faas {
 
@@ -112,107 +110,24 @@ void Ec2Fleet::Dispatch(Pending pending) {
                                pending = std::move(pending)]() mutable {
     ++stats_.invocations;
     if (metrics_ != nullptr) metrics_->Add("ec2.invocations");
-    // See LambdaPlatform::Execute: a propagated "deadline_us" clamps the
-    // configured timeout to the query's remaining lifetime.
-    const Deadline deadline =
-        Deadline::At(pending.payload.GetInt("deadline_us", 0));
-    auto ctx = std::make_shared<FunctionContext>(
-        env_, nics_[static_cast<size_t>(instance)].get(), fabric_,
-        std::move(pending.payload), /*cold_start=*/false, entry.config);
-    obs::SpanId exec_span = obs::kNoSpan;
-    const SimTime exec_start = env_->now();
-    if (tracer_ != nullptr) {
-      exec_span = tracer_->Begin("ec2", "exec " + entry.config.name, "faas",
-                                 pending.invoke_span);
-      tracer_->SetArg(exec_span, "cold", Json(false));
-      tracer_->SetArg(exec_span, "memory_mib", Json(entry.config.memory_mib));
-    }
-    ctx->set_observability(tracer_, exec_span, metrics_);
-    auto callback =
-        std::make_shared<ResponseCallback>(std::move(pending.callback));
-    // The handler, the enforced timeout, and an injected crash race to
-    // settle the slot; first one through the gate wins.
-    struct Gate {
-      bool settled = false;
-      sim::EventId timeout_event = sim::kInvalidEventId;
-      sim::EventId crash_event = sim::kInvalidEventId;
-    };
-    auto gate = std::make_shared<Gate>();
-    auto settle = [this, gate, exec_span, exec_start](const char* outcome) {
-      env_->Cancel(gate->timeout_event);
-      env_->Cancel(gate->crash_event);
-      if (tracer_ != nullptr) tracer_->EndWith(exec_span, outcome);
-      if (metrics_ != nullptr) {
-        metrics_->Record("ec2.exec_ms", ToMillis(env_->now() - exec_start));
-      }
-      ++free_slots_;
-      MaybeDispatch();
-    };
-    ctx->set_on_finish([gate, settle, callback](Json response) {
-      if (gate->settled) return;
-      gate->settled = true;
-      settle("ok");
-      (*callback)(std::move(response));
-    });
-    ctx->set_on_finish_error([this, gate, settle, callback](Status status) {
-      if (gate->settled) return;
-      gate->settled = true;
-      ++stats_.errors;
-      if (metrics_ != nullptr) metrics_->Add("ec2.errors");
-      settle("error");
-      (*callback)(std::move(status));
-    });
-    const std::string function = entry.config.name;
-    SimDuration timeout = entry.config.timeout;
-    bool deadline_clamped = false;
-    if (deadline.bounded()) {
-      const SimDuration remaining =
-          std::max<SimDuration>(1, deadline.Remaining(env_->now()));
-      if (timeout <= 0 || remaining < timeout) {
-        timeout = remaining;
-        deadline_clamped = true;
-      }
-    }
-    if (timeout > 0) {
-      gate->timeout_event = env_->Schedule(
-          timeout,
-          [this, gate, settle, callback, function, deadline_clamped] {
-            if (gate->settled) return;
-            gate->settled = true;
-            ++stats_.timeouts;
-            ++stats_.errors;
-            if (metrics_ != nullptr) {
-              metrics_->Add("ec2.timeouts");
-              metrics_->Add("ec2.errors");
-              if (deadline_clamped) metrics_->Add("ec2.deadline_kills");
-            }
-            settle("timeout");
-            (*callback)(Status::DeadlineExceeded(
-                (deadline_clamped ? "Query deadline exceeded in: "
-                                  : "Task timed out: ") +
-                function));
-          });
-    }
-    if (fault_injector_ != nullptr) {
-      const auto crash = fault_injector_->SampleCrash(function);
-      if (crash.crash) {
-        gate->crash_event = env_->Schedule(
-            crash.after, [this, gate, settle, callback, function] {
-              if (gate->settled) return;
-              gate->settled = true;
-              ++stats_.crashes;
-              ++stats_.errors;
-              if (metrics_ != nullptr) {
-                metrics_->Add("ec2.crashes");
-                metrics_->Add("ec2.errors");
-              }
-              settle("crash");
-              (*callback)(Status::IoError("worker crashed (injected): " +
-                                          function));
-            });
-      }
-    }
-    entry.handler(ctx);
+    RunExecution({.track = "ec2",
+                  .crash_noun = "worker",
+                  .env = env_,
+                  .fabric = fabric_,
+                  .fault_injector = fault_injector_,
+                  .tracer = tracer_,
+                  .metrics = metrics_,
+                  .meter = nullptr,
+                  .errors = &stats_.errors,
+                  .timeouts = &stats_.timeouts,
+                  .crashes = &stats_.crashes},
+                 entry, nics_[static_cast<size_t>(instance)].get(),
+                 std::move(pending.payload), /*cold=*/false,
+                 pending.invoke_span, std::move(pending.callback),
+                 [this](bool /*keep_sandbox*/) {
+                   ++free_slots_;
+                   MaybeDispatch();
+                 });
   });
 }
 

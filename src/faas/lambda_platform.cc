@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "common/deadline.h"
+#include "faas/execution.h"
 
 namespace skyrise::faas {
 
@@ -203,125 +203,31 @@ void LambdaPlatform::Execute(const FunctionRegistry::Entry& entry,
                              std::shared_ptr<Sandbox> sandbox, Json payload,
                              bool cold, obs::SpanId invoke_span,
                              ResponseCallback callback) {
-  // End-to-end deadline: a propagated "deadline_us" (absolute sim time)
-  // clamps the configured function timeout to the query's remaining
-  // lifetime, so an execution never outlives the query that invoked it.
-  const Deadline deadline = Deadline::At(payload.GetInt("deadline_us", 0));
-  auto ctx = std::make_shared<FunctionContext>(
-      env_, sandbox->nic.get(), fabric_, std::move(payload), cold,
-      entry.config);
-  const SimTime exec_start = env_->now();
-  const std::string function = entry.config.name;
   ++sandbox->uses;
-  obs::SpanId exec_span = obs::kNoSpan;
-  if (tracer_ != nullptr) {
-    exec_span = tracer_->Begin("lambda", "exec " + function, "faas",
-                               invoke_span);
-    tracer_->SetArg(exec_span, "cold", Json(cold));
-    tracer_->SetArg(exec_span, "memory_mib", Json(entry.config.memory_mib));
-  }
-  ctx->set_observability(tracer_, exec_span, metrics_);
-  // The handler, the enforced timeout, and an injected crash race to settle
-  // the execution; whichever claims the gate first wins, the others no-op.
-  struct Gate {
-    bool settled = false;
-    sim::EventId timeout_event = sim::kInvalidEventId;
-    sim::EventId crash_event = sim::kInvalidEventId;
-  };
-  auto gate = std::make_shared<Gate>();
-  // Shared cleanup. Abnormal terminations (timeout, sandbox kill) tear the
-  // execution environment down instead of returning it to the warm pool.
-  // The billed invocation cost is attributed to the execution span; the
-  // handler may keep running as a zombie after an abnormal settle, so its
-  // child spans (on other tracks) can outlive this one.
-  auto settle = [this, gate, exec_start, exec_span, function, sandbox,
-                 config = entry.config](bool keep_sandbox,
-                                        const char* outcome) {
-    env_->Cancel(gate->timeout_event);
-    env_->Cancel(gate->crash_event);
-    const SimDuration duration = env_->now() - exec_start;
-    const double usd = meter_.RecordLambdaInvocation(
-        config.memory_gib(), std::max<SimDuration>(duration, 1));
-    if (tracer_ != nullptr) {
-      tracer_->AddCost(exec_span, usd);
-      tracer_->EndWith(exec_span, outcome);
-    }
-    if (metrics_ != nullptr) {
-      metrics_->Record("lambda.exec_ms", ToMillis(duration));
-    }
+  net::Nic* nic = sandbox->nic.get();
+  // Abnormal terminations (timeout, sandbox kill) tear the execution
+  // environment down instead of returning it to the warm pool.
+  ReleaseHook release = [this, function = entry.config.name,
+                         sandbox = std::move(sandbox)](bool keep_sandbox) {
     --active_;
     if (keep_sandbox) {
       sandbox->nic->NotifyIdle();
       ReleaseSandbox(function, sandbox);
     }
   };
-  ctx->set_on_finish([gate, settle, callback](Json response) mutable {
-    if (gate->settled) return;
-    gate->settled = true;
-    settle(/*keep_sandbox=*/true, "ok");
-    callback(std::move(response));
-  });
-  ctx->set_on_finish_error(
-      [this, gate, settle, callback](Status status) mutable {
-        if (gate->settled) return;
-        gate->settled = true;
-        ++stats_.errors;
-        if (metrics_ != nullptr) metrics_->Add("lambda.errors");
-        settle(/*keep_sandbox=*/true, "error");
-        callback(std::move(status));
-      });
-  SimDuration timeout = entry.config.timeout;
-  bool deadline_clamped = false;
-  if (deadline.bounded()) {
-    const SimDuration remaining =
-        std::max<SimDuration>(1, deadline.Remaining(env_->now()));
-    if (timeout <= 0 || remaining < timeout) {
-      timeout = remaining;
-      deadline_clamped = true;
-    }
-  }
-  if (timeout > 0) {
-    gate->timeout_event = env_->Schedule(
-        timeout,
-        [this, gate, settle, callback, function, deadline_clamped] {
-          if (gate->settled) return;
-          gate->settled = true;
-          ++stats_.timeouts;
-          ++stats_.errors;
-          if (metrics_ != nullptr) {
-            metrics_->Add("lambda.timeouts");
-            metrics_->Add("lambda.errors");
-            if (deadline_clamped) metrics_->Add("lambda.deadline_kills");
-          }
-          settle(/*keep_sandbox=*/false, "timeout");
-          callback(Status::DeadlineExceeded(
-              (deadline_clamped ? "Query deadline exceeded in: "
-                                : "Task timed out: ") +
-              function));
-        });
-  }
-  if (fault_injector_ != nullptr) {
-    const auto crash = fault_injector_->SampleCrash(function);
-    if (crash.crash) {
-      gate->crash_event = env_->Schedule(
-          crash.after,
-          [this, gate, settle, callback, function,
-           kill = crash.kill_sandbox] {
-            if (gate->settled) return;
-            gate->settled = true;
-            ++stats_.crashes;
-            ++stats_.errors;
-            if (metrics_ != nullptr) {
-              metrics_->Add("lambda.crashes");
-              metrics_->Add("lambda.errors");
-            }
-            settle(/*keep_sandbox=*/!kill, "crash");
-            callback(Status::IoError("function crashed (injected): " +
-                                     function));
-          });
-    }
-  }
-  entry.handler(ctx);
+  RunExecution({.track = "lambda",
+                .crash_noun = "function",
+                .env = env_,
+                .fabric = fabric_,
+                .fault_injector = fault_injector_,
+                .tracer = tracer_,
+                .metrics = metrics_,
+                .meter = &meter_,
+                .errors = &stats_.errors,
+                .timeouts = &stats_.timeouts,
+                .crashes = &stats_.crashes},
+               entry, nic, std::move(payload), cold, invoke_span,
+               std::move(callback), std::move(release));
 }
 
 void LambdaPlatform::ReleaseSandbox(const std::string& function,

@@ -88,11 +88,32 @@ class RetryClient {
   [[nodiscard]] Status AdmitAttempt(const ClientContext& ctx, int attempt,
                                     obs::SpanId req_span);
 
-  void AttemptGet(const std::string& key, int64_t offset, int64_t length,
-                  const ClientContext& ctx, int attempt, obs::SpanId req_span,
-                  GetCallback callback);
-  void AttemptPut(const std::string& key, Blob data, const ClientContext& ctx,
-                  int attempt, obs::SpanId req_span, PutCallback callback);
+  // The request kinds (a ranged GET, a PUT) and the state of one request
+  // across its attempts; defined in retry_client.cc.
+  struct GetRequest;
+  struct PutRequest;
+  template <typename Request>
+  struct Call;
+  template <typename Request>
+  using CallPtr = std::shared_ptr<Call<Request>>;
+
+  /// The request wrapper: opens the request span and starts attempt 0.
+  template <typename Request>
+  void Send(Request request, const ClientContext& ctx,
+            typename Request::Callback callback);
+  /// The attempt loop: admits, times and issues attempt `attempt`, then
+  /// classifies its outcome into success, retry after backoff, or failure.
+  template <typename Request>
+  void Attempt(const CallPtr<Request>& call, int attempt);
+  template <typename Request>
+  void RetryOrFail(const CallPtr<Request>& call, Status error);
+  /// Closes an attempt span with `outcome` and records its latency.
+  void EndAttempt(const ClientContext& ctx, obs::SpanId span, SimTime start,
+                  const char* outcome);
+  /// Closes the request span and hands the final outcome to the caller.
+  template <typename Request>
+  void Deliver(const CallPtr<Request>& call,
+               typename Request::Outcome outcome);
 
   sim::SimEnvironment* env_;
   StorageService* service_;

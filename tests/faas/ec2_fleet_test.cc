@@ -164,5 +164,37 @@ TEST_F(Ec2FleetTest, UnknownFunctionReportsError) {
   EXPECT_TRUE(status.IsNotFound());
 }
 
+TEST_F(Ec2FleetTest, PayloadDeadlineClampsTheTimeoutAndFreesTheSlot) {
+  // The query's "deadline_us" (absolute sim time) falls long before the
+  // configured 15-minute timeout: the task is killed at the deadline, typed
+  // as a query-deadline kill, and its slot goes to the queued task.
+  obs::MetricsRegistry metrics;
+  Ec2Fleet::Options opt;
+  opt.instance_count = 1;
+  opt.slots_per_instance = 1;
+  Ec2Fleet fleet(&env_, &fabric_driver_, &registry_, opt);
+  fleet.set_observer(nullptr, &metrics);
+  fleet.Start(nullptr);
+  Json payload = Json::Object();
+  payload["work_ms"] = 60000;
+  payload["deadline_us"] = Seconds(1);
+  Status status;
+  SimTime killed_at = 0;
+  fleet.Invoke("task", std::move(payload), [&](Result<Json> r) {
+    status = r.status();
+    killed_at = env_.now();
+  });
+  bool ok = false;
+  fleet.Invoke("task", Json::Object(), [&](Result<Json> r) { ok = r.ok(); });
+  env_.Run();
+  EXPECT_TRUE(status.IsDeadlineExceeded()) << status.ToString();
+  EXPECT_EQ(status.message(), "Query deadline exceeded in: task");
+  EXPECT_EQ(killed_at, Seconds(1));
+  EXPECT_EQ(metrics.Counter("ec2.deadline_kills"), 1);
+  EXPECT_EQ(fleet.stats().timeouts, 1);
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(fleet.free_slots(), 1);
+}
+
 }  // namespace
 }  // namespace skyrise::faas

@@ -356,5 +356,32 @@ TEST_F(LambdaPlatformTest, CrashExemptFunctionRunsNormally) {
   EXPECT_EQ(platform->stats().crashes, 0);
 }
 
+TEST_F(LambdaPlatformTest, PayloadDeadlineClampsTheTimeout) {
+  // The query's "deadline_us" (absolute sim time) falls long before the
+  // configured 15-minute timeout: the execution is killed at the deadline,
+  // typed as a query-deadline kill rather than a function timeout.
+  obs::MetricsRegistry metrics;
+  auto platform = MakePlatform();
+  platform->set_observer(nullptr, &metrics);
+  Json payload = Json::Object();
+  payload["work_ms"] = 30000;
+  payload["deadline_us"] = Seconds(2);
+  Status status;
+  SimTime done_at = 0;
+  platform->Invoke("worker", std::move(payload), [&](Result<Json> r) {
+    status = r.status();
+    done_at = env_.now();
+  });
+  RunFor(Seconds(60));
+  EXPECT_TRUE(status.IsDeadlineExceeded()) << status.ToString();
+  EXPECT_EQ(status.message(), "Query deadline exceeded in: worker");
+  EXPECT_EQ(done_at, Seconds(2));
+  EXPECT_EQ(metrics.Counter("lambda.deadline_kills"), 1);
+  EXPECT_EQ(platform->stats().timeouts, 1);
+  EXPECT_EQ(platform->active_executions(), 0);
+  // A killed execution environment is torn down, not returned warm.
+  EXPECT_EQ(platform->WarmSandboxCount("worker"), 0);
+}
+
 }  // namespace
 }  // namespace skyrise::faas

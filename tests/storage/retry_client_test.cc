@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "storage/object_store.h"
 
 namespace skyrise::storage {
@@ -17,6 +19,41 @@ RetryClient::Options FastOptions() {
   o.request_timeout = Millis(200);
   o.max_attempts = 8;
   return o;
+}
+
+/// The two request kinds the retry loop serves. The tests that pin its
+/// timeouts, deadline, retry budget and breaker run once per kind.
+enum class Kind { kGet, kPut };
+constexpr Kind kKinds[] = {Kind::kGet, Kind::kPut};
+
+const char* KindName(Kind kind) { return kind == Kind::kGet ? "GET" : "PUT"; }
+
+/// S3 options under which no request of `kind` is ever admitted: every
+/// attempt is rejected with 503 SlowDown.
+ObjectStore::Options NeverAdmits(Kind kind) {
+  auto opt = ObjectStore::StandardOptions();
+  if (kind == Kind::kGet) {
+    opt.read_burst_tokens = 0;
+    opt.partition_read_iops = 0;
+  } else {
+    opt.write_burst_tokens = 0;
+    opt.partition_write_iops = 0;
+  }
+  return opt;
+}
+
+/// Issues one request of `kind` on `key`: a ranged read of its first
+/// `bytes`, or a write of a synthetic `bytes`-byte object. `done` receives
+/// the final status.
+void Send(RetryClient* client, Kind kind, const std::string& key,
+          int64_t bytes, const ClientContext& ctx,
+          std::function<void(Status)> done) {
+  if (kind == Kind::kGet) {
+    client->GetRange(key, 0, bytes, ctx,
+                     [done](Result<Blob> r) { done(r.status()); });
+  } else {
+    client->Put(key, Blob::Synthetic(bytes), ctx, std::move(done));
+  }
 }
 
 TEST_F(RetryClientTest, SuccessPassesThrough) {
@@ -63,23 +100,29 @@ TEST_F(RetryClientTest, NotFoundIsNotRetried) {
 }
 
 TEST_F(RetryClientTest, TimeoutTriggersRetry) {
-  auto opt = ObjectStore::StandardOptions();
-  // Pathological tail: every request draws a ~1 s latency, above the 200 ms
-  // timeout, so the client times out through all attempts.
-  opt.read_latency = LatencyProfile::FromMedianP95(1000, 1100);
-  opt.read_latency.tail_probability = 0;
-  ObjectStore s3(&env_, opt);
-  ASSERT_TRUE(s3.Insert("k", Blob::Synthetic(kKiB)).ok());
-  RetryClient::Options ropt = FastOptions();
-  ropt.max_attempts = 3;
-  RetryClient client(&env_, &s3, ropt);
-  Status status;
-  client.Get("k", {}, [&](Result<Blob> r) { status = r.status(); });
-  env_.Run();
-  EXPECT_TRUE(status.IsDeadlineExceeded());
-  EXPECT_EQ(client.stats().attempts, 3);
-  EXPECT_EQ(client.stats().timeouts, 3);
-  EXPECT_EQ(client.stats().permanent_failures, 1);
+  for (Kind kind : kKinds) {
+    SCOPED_TRACE(KindName(kind));
+    sim::SimEnvironment env(7);
+    auto opt = ObjectStore::StandardOptions();
+    // Pathological tail: every request draws a ~1 s latency, above the
+    // 200 ms timeout, so the client times out through all attempts.
+    LatencyProfile& latency =
+        kind == Kind::kGet ? opt.read_latency : opt.write_latency;
+    latency = LatencyProfile::FromMedianP95(1000, 1100);
+    latency.tail_probability = 0;
+    ObjectStore s3(&env, opt);
+    ASSERT_TRUE(s3.Insert("k", Blob::Synthetic(kKiB)).ok());
+    RetryClient::Options ropt = FastOptions();
+    ropt.max_attempts = 3;
+    RetryClient client(&env, &s3, ropt);
+    Status status;
+    Send(&client, kind, "k", kKiB, {}, [&](Status s) { status = s; });
+    env.Run();
+    EXPECT_TRUE(status.IsDeadlineExceeded());
+    EXPECT_EQ(client.stats().attempts, 3);
+    EXPECT_EQ(client.stats().timeouts, 3);
+    EXPECT_EQ(client.stats().permanent_failures, 1);
+  }
 }
 
 TEST_F(RetryClientTest, BackoffDelaysGrowExponentially) {
@@ -149,21 +192,24 @@ TEST_F(RetryClientTest, PutRetriesThrottles) {
 }
 
 TEST_F(RetryClientTest, SizeBasedTimeoutExtendsAllowance) {
-  RetryClient::Options o = FastOptions();
-  o.timeout_per_mib = Millis(100);
-  ObjectStore s3(&env_, ObjectStore::StandardOptions());
-  ASSERT_TRUE(s3.Insert("big", Blob::Synthetic(8 * kMiB)).ok());
-  RetryClient client(&env_, &s3, o);
-  // 8 MiB at ~62 MiB/s takes ~130 ms transfer + latency; the base 200 ms
-  // timeout alone could flake, the size-based allowance (1 s total for the
-  // ranged read) must not.
-  bool ok = false;
-  client.GetRange("big", 0, 8 * kMiB, {}, [&](Result<Blob> r) {
-    ok = r.ok();
-  });
-  env_.Run();
-  EXPECT_TRUE(ok);
-  EXPECT_EQ(client.stats().timeouts, 0);
+  for (Kind kind : kKinds) {
+    SCOPED_TRACE(KindName(kind));
+    sim::SimEnvironment env(7);
+    RetryClient::Options o = FastOptions();
+    o.timeout_per_mib = Millis(100);
+    ObjectStore s3(&env, ObjectStore::StandardOptions());
+    ASSERT_TRUE(s3.Insert("big", Blob::Synthetic(8 * kMiB)).ok());
+    RetryClient client(&env, &s3, o);
+    // 8 MiB read at ~62 MiB/s takes ~130 ms transfer + latency, and 8 MiB
+    // written at ~40 MiB/s ~200 ms + latency; the base 200 ms timeout alone
+    // could flake (or always fire for the PUT), the size-based allowance
+    // (1 s total for the 8 MiB request) must not.
+    bool ok = false;
+    Send(&client, kind, "big", 8 * kMiB, {}, [&](Status s) { ok = s.ok(); });
+    env.Run();
+    EXPECT_TRUE(ok);
+    EXPECT_EQ(client.stats().timeouts, 0);
+  }
 }
 
 TEST_F(RetryClientTest, BackoffCapClampsExponentialGrowth) {
@@ -293,114 +339,128 @@ TEST_F(RetryClientTest, DeadlineCutsOffBackoffLadder) {
   // waits are clamped to the remaining lifetime, so the request fails typed
   // shortly after expiry instead of walking the full 775 ms+ backoff ladder
   // (compare BackoffDelaysGrowExponentially).
-  auto opt = ObjectStore::StandardOptions();
-  opt.read_burst_tokens = 0;
-  opt.partition_read_iops = 0;
-  ObjectStore s3(&env_, opt);
-  ASSERT_TRUE(s3.Insert("k", Blob::Synthetic(kKiB)).ok());
-  RetryClient client(&env_, &s3, FastOptions());
-  ClientContext ctx;
-  ctx.deadline = Deadline::At(Millis(100));
-  Status status;
-  SimTime done_at = 0;
-  client.Get("k", ctx, [&](Result<Blob> r) {
-    status = r.status();
-    done_at = env_.now();
-  });
-  env_.Run();
-  EXPECT_TRUE(status.IsDeadlineExceeded());
-  EXPECT_LE(done_at, Millis(100) + FastOptions().request_timeout);
-  EXPECT_GE(client.stats().deadline_rejections, 1);
-  EXPECT_EQ(client.stats().permanent_failures, 1);
+  for (Kind kind : kKinds) {
+    SCOPED_TRACE(KindName(kind));
+    sim::SimEnvironment env(7);
+    ObjectStore s3(&env, NeverAdmits(kind));
+    ASSERT_TRUE(s3.Insert("k", Blob::Synthetic(kKiB)).ok());
+    RetryClient client(&env, &s3, FastOptions());
+    ClientContext ctx;
+    ctx.deadline = Deadline::At(Millis(100));
+    Status status;
+    SimTime done_at = 0;
+    Send(&client, kind, "k", kKiB, ctx, [&](Status s) {
+      status = s;
+      done_at = env.now();
+    });
+    env.Run();
+    EXPECT_TRUE(status.IsDeadlineExceeded());
+    EXPECT_LE(done_at, Millis(100) + FastOptions().request_timeout);
+    EXPECT_GE(client.stats().deadline_rejections, 1);
+    EXPECT_EQ(client.stats().permanent_failures, 1);
+  }
 }
 
 TEST_F(RetryClientTest, ExpiredDeadlineRejectsBeforeFirstAttempt) {
-  ObjectStore s3(&env_, ObjectStore::StandardOptions());
-  ASSERT_TRUE(s3.Insert("k", Blob::FromString("v")).ok());
-  RetryClient client(&env_, &s3, FastOptions());
-  ClientContext ctx;
-  ctx.deadline = Deadline::At(1);
-  env_.Schedule(Millis(5), [&] {
-    client.Get("k", ctx, [&](Result<Blob> r) {
-      EXPECT_TRUE(r.status().IsDeadlineExceeded());
+  for (Kind kind : kKinds) {
+    SCOPED_TRACE(KindName(kind));
+    sim::SimEnvironment env(7);
+    ObjectStore s3(&env, ObjectStore::StandardOptions());
+    ASSERT_TRUE(s3.Insert("k", Blob::FromString("v")).ok());
+    RetryClient client(&env, &s3, FastOptions());
+    ClientContext ctx;
+    ctx.deadline = Deadline::At(1);
+    Status status;
+    env.Schedule(Millis(5), [&] {
+      Send(&client, kind, "k", 1, ctx, [&](Status s) { status = s; });
     });
-  });
-  env_.Run();
-  EXPECT_EQ(client.stats().attempts, 0);
-  EXPECT_EQ(client.stats().deadline_rejections, 1);
+    env.Run();
+    EXPECT_TRUE(status.IsDeadlineExceeded());
+    EXPECT_EQ(client.stats().attempts, 0);
+    EXPECT_EQ(client.stats().deadline_rejections, 1);
+  }
 }
 
 TEST_F(RetryClientTest, RetryBudgetBoundsRetriesAcrossRequests) {
   // Two tokens shared by the query: first attempts are free, but only two
   // retries are granted in total before further requests fail typed.
-  auto opt = ObjectStore::StandardOptions();
-  opt.read_burst_tokens = 0;
-  opt.partition_read_iops = 0;
-  ObjectStore s3(&env_, opt);
-  ASSERT_TRUE(s3.Insert("k", Blob::Synthetic(kKiB)).ok());
-  RetryClient client(&env_, &s3, FastOptions());
-  RetryBudget::Options bopt;
-  bopt.initial_tokens = 2;
-  RetryBudget budget(bopt);
-  ClientContext ctx;
-  ctx.retry_budget = &budget;
-  Status status;
-  client.Get("k", ctx, [&](Result<Blob> r) { status = r.status(); });
-  env_.Run();
-  EXPECT_TRUE(status.IsResourceExhausted());
-  // 1 free attempt + 2 budgeted retries, then the denial ends the request
-  // well short of max_attempts = 8.
-  EXPECT_EQ(client.stats().attempts, 3);
-  EXPECT_EQ(client.stats().budget_denials, 1);
-  EXPECT_EQ(budget.stats().acquired, 2);
-  EXPECT_EQ(budget.stats().denied, 1);
+  for (Kind kind : kKinds) {
+    SCOPED_TRACE(KindName(kind));
+    sim::SimEnvironment env(7);
+    ObjectStore s3(&env, NeverAdmits(kind));
+    ASSERT_TRUE(s3.Insert("k", Blob::Synthetic(kKiB)).ok());
+    RetryClient client(&env, &s3, FastOptions());
+    RetryBudget::Options bopt;
+    bopt.initial_tokens = 2;
+    RetryBudget budget(bopt);
+    ClientContext ctx;
+    ctx.retry_budget = &budget;
+    Status status;
+    Send(&client, kind, "k", kKiB, ctx, [&](Status s) { status = s; });
+    env.Run();
+    EXPECT_TRUE(status.IsResourceExhausted());
+    // 1 free attempt + 2 budgeted retries, then the denial ends the request
+    // well short of max_attempts = 8.
+    EXPECT_EQ(client.stats().attempts, 3);
+    EXPECT_EQ(client.stats().budget_denials, 1);
+    EXPECT_EQ(budget.stats().acquired, 2);
+    EXPECT_EQ(budget.stats().denied, 1);
+  }
 }
 
 TEST_F(RetryClientTest, OpenBreakerShedsWithoutAnAttempt) {
-  ObjectStore s3(&env_, ObjectStore::StandardOptions());
-  ASSERT_TRUE(s3.Insert("k", Blob::FromString("v")).ok());
-  RetryClient client(&env_, &s3, FastOptions());
-  CircuitBreaker::Options bopt;
-  bopt.name = "storage";
-  bopt.min_samples = 2;
-  bopt.window = 4;
-  CircuitBreaker breaker(bopt);
-  breaker.RecordFailure(0);
-  breaker.RecordFailure(0);
-  ASSERT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-  ClientContext ctx;
-  ctx.breaker = &breaker;
-  Status status;
-  client.Get("k", ctx, [&](Result<Blob> r) { status = r.status(); });
-  env_.Run();
-  EXPECT_TRUE(status.IsResourceExhausted());
-  EXPECT_EQ(client.stats().attempts, 0);
-  EXPECT_EQ(client.stats().breaker_rejections, 1);
+  for (Kind kind : kKinds) {
+    SCOPED_TRACE(KindName(kind));
+    sim::SimEnvironment env(7);
+    ObjectStore s3(&env, ObjectStore::StandardOptions());
+    ASSERT_TRUE(s3.Insert("k", Blob::FromString("v")).ok());
+    RetryClient client(&env, &s3, FastOptions());
+    CircuitBreaker::Options bopt;
+    bopt.name = "storage";
+    bopt.min_samples = 2;
+    bopt.window = 4;
+    CircuitBreaker breaker(bopt);
+    breaker.RecordFailure(0);
+    breaker.RecordFailure(0);
+    ASSERT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
+    ClientContext ctx;
+    ctx.breaker = &breaker;
+    Status status;
+    Send(&client, kind, "k", 1, ctx, [&](Status s) { status = s; });
+    env.Run();
+    EXPECT_TRUE(status.IsResourceExhausted());
+    EXPECT_EQ(client.stats().attempts, 0);
+    EXPECT_EQ(client.stats().breaker_rejections, 1);
+  }
 }
 
 TEST_F(RetryClientTest, OutcomesFeedBreakerAndRefundBudget) {
-  ObjectStore s3(&env_, ObjectStore::StandardOptions());
-  ASSERT_TRUE(s3.Insert("k", Blob::FromString("v")).ok());
-  RetryClient client(&env_, &s3, FastOptions());
-  CircuitBreaker breaker;
-  RetryBudget::Options bopt;
-  bopt.initial_tokens = 4;
-  bopt.refund_per_success = 0.25;
-  RetryBudget budget(bopt);
-  ASSERT_TRUE(budget.TryAcquire());  // Pool below initial: refunds visible.
-  ClientContext ctx;
-  ctx.breaker = &breaker;
-  ctx.retry_budget = &budget;
-  int ok = 0;
-  for (int i = 0; i < 3; ++i) {
-    client.Get("k", ctx, [&](Result<Blob> r) { ok += r.ok() ? 1 : 0; });
+  for (Kind kind : kKinds) {
+    SCOPED_TRACE(KindName(kind));
+    sim::SimEnvironment env(7);
+    ObjectStore s3(&env, ObjectStore::StandardOptions());
+    ASSERT_TRUE(s3.Insert("k", Blob::FromString("v")).ok());
+    RetryClient client(&env, &s3, FastOptions());
+    CircuitBreaker breaker;
+    RetryBudget::Options bopt;
+    bopt.initial_tokens = 4;
+    bopt.refund_per_success = 0.25;
+    RetryBudget budget(bopt);
+    ASSERT_TRUE(budget.TryAcquire());  // Pool below initial: refunds visible.
+    ClientContext ctx;
+    ctx.breaker = &breaker;
+    ctx.retry_budget = &budget;
+    int ok = 0;
+    for (int i = 0; i < 3; ++i) {
+      Send(&client, kind, "k", 1, ctx, [&](Status s) { ok += s.ok() ? 1 : 0; });
+    }
+    env.Run();
+    EXPECT_EQ(ok, 3);
+    EXPECT_EQ(breaker.stats().successes, 3);
+    EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
+    EXPECT_DOUBLE_EQ(budget.stats().refunded, 0.75);
+    EXPECT_DOUBLE_EQ(budget.tokens(), 3.75);
   }
-  env_.Run();
-  EXPECT_EQ(ok, 3);
-  EXPECT_EQ(breaker.stats().successes, 3);
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-  EXPECT_DOUBLE_EQ(budget.stats().refunded, 0.75);
-  EXPECT_DOUBLE_EQ(budget.tokens(), 3.75);
 }
 
 }  // namespace
