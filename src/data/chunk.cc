@@ -117,15 +117,6 @@ void Column::Reset(DataType type) {
   Clear();
 }
 
-int64_t Column::CapacityBytes() const {
-  int64_t bytes = static_cast<int64_t>(ints_.capacity()) * 8 +
-                  static_cast<int64_t>(doubles_.capacity()) * 8 +
-                  static_cast<int64_t>(strings_.capacity() *
-                                       sizeof(std::string));
-  for (const auto& s : strings_) bytes += static_cast<int64_t>(s.capacity());
-  return bytes;
-}
-
 void Chunk::Append(const Chunk& other) {
   SKYRISE_CHECK(schema_ == other.schema_);
   if (is_synthetic() || other.is_synthetic()) {
@@ -187,12 +178,6 @@ void Chunk::PrepareFor(const Schema& schema) {
 void Chunk::ResetTo(const Schema& schema) {
   PrepareFor(schema);
   for (auto& column : columns_) column.Clear();
-}
-
-int64_t Chunk::CapacityBytes() const {
-  int64_t bytes = 0;
-  for (const auto& column : columns_) bytes += column.CapacityBytes();
-  return bytes;
 }
 
 int64_t Chunk::ByteSize() const {

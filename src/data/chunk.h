@@ -108,12 +108,8 @@ class Column {
   void Clear();
 
   /// Retypes the column and clears it (retained buffers of the old type keep
-  /// their capacity; CapacityBytes still counts them).
+  /// their capacity).
   void Reset(DataType type);
-
-  /// Heap bytes currently reserved by this column's buffers, independent of
-  /// value count — the quantity a chunk pool retains across reuse.
-  int64_t CapacityBytes() const;
 
  private:
   DataType type_;
@@ -187,9 +183,6 @@ class Chunk {
   /// Rough in-memory/in-flight byte size (used by the CPU and shuffle size
   /// models; also valid for synthetic chunks via per-type width estimates).
   int64_t ByteSize() const;
-
-  /// Heap bytes reserved across all column buffers (see Column::CapacityBytes).
-  int64_t CapacityBytes() const;
 
  private:
   Schema schema_;

@@ -108,25 +108,6 @@ Schema SessionizeSchema() {
 
 // --- Stateless per-morsel operator kernels. ---
 
-Result<Chunk> ApplyFilter(const OperatorSpec& op, Chunk&& in,
-                          CostAccumulator* cost) {
-  cost->AddNs(static_cast<double>(in.rows()) *
-              cost->model().filter_ns_per_row);
-  if (in.is_synthetic()) {
-    return Chunk::Synthetic(in.schema(),
-                            static_cast<int64_t>(std::llround(
-                                static_cast<double>(in.rows()) *
-                                op.selectivity)));
-  }
-  std::vector<uint32_t> selection;
-  SKYRISE_ASSIGN_OR_RETURN(selection, EvalPredicate(*op.predicate, in));
-  std::vector<Column> columns;
-  for (size_t c = 0; c < in.num_columns(); ++c) {
-    columns.push_back(in.column(c).Filter(selection));
-  }
-  return Chunk(in.schema(), std::move(columns));
-}
-
 Result<Chunk> ApplySort(const OperatorSpec& op, Chunk&& in,
                         CostAccumulator* cost) {
   const double n = static_cast<double>(std::max<int64_t>(in.rows(), 1));
@@ -247,29 +228,16 @@ class OperatorState {
 
 /// Streaming filter with pooled output: the selection vector and the output
 /// chunk's column buffers are reused across morsels (the spent input goes
-/// back to the pool in WalkFrom). Selection semantics are identical to
-/// ApplyFilter, which remains the unpooled single-shot path.
+/// back to the pool in WalkFrom).
 class FilterOp final : public OperatorState {
  public:
   FilterOp(const OperatorSpec& op, CostAccumulator* cost,
            data::ChunkPool* pool)
       : op_(op), cost_(cost), pool_(pool) {}
   Result<std::optional<Chunk>> Push(Chunk&& in) override {
-    cost_->AddNs(static_cast<double>(in.rows()) *
-                 cost_->model().filter_ns_per_row);
-    if (in.is_synthetic()) {
-      return std::optional<Chunk>(
-          Chunk::Synthetic(in.schema(),
-                           static_cast<int64_t>(std::llround(
-                               static_cast<double>(in.rows()) *
-                               op_.selectivity))));
-    }
-    SKYRISE_RETURN_IF_ERROR(EvalPredicateInto(*op_.predicate, in,
-                                              &selection_));
-    Chunk out = pool_->AcquirePrepared(in.schema());
-    for (size_t c = 0; c < in.num_columns(); ++c) {
-      in.column(c).FilterInto(selection_, &out.column(c));
-    }
+    Chunk out;
+    SKYRISE_ASSIGN_OR_RETURN(out, FilterChunk(op_.predicate, op_.selectivity,
+                                              in, cost_, pool_, &selection_));
     return std::optional<Chunk>(std::move(out));
   }
 
@@ -938,7 +906,6 @@ Result<std::vector<FragmentOutput>> FragmentPipeline::Finish() {
       SKYRISE_RETURN_IF_ERROR(im.WalkFrom(i + 1, std::move(**flushed)));
     }
   }
-  im.memory->SetPooledRetained(im.pool->stats().retained_bytes);
   if (im.sink != nullptr) return im.sink->TakeOutputs();
   std::vector<FragmentOutput> outputs;
   Chunk result = im.tail.has_value()
@@ -950,6 +917,25 @@ Result<std::vector<FragmentOutput>> FragmentPipeline::Finish() {
 
 int64_t FragmentPipeline::batches() const { return impl_->batches; }
 
+Result<Chunk> FilterChunk(const ExprPtr& predicate, double selectivity,
+                          const Chunk& in, CostAccumulator* cost,
+                          data::ChunkPool* pool,
+                          std::vector<uint32_t>* selection) {
+  cost->AddNs(static_cast<double>(in.rows()) *
+              cost->model().filter_ns_per_row);
+  if (in.is_synthetic()) {
+    return Chunk::Synthetic(
+        in.schema(), static_cast<int64_t>(std::llround(
+                         static_cast<double>(in.rows()) * selectivity)));
+  }
+  SKYRISE_RETURN_IF_ERROR(EvalPredicateInto(*predicate, in, selection));
+  Chunk out = pool->AcquirePrepared(in.schema());
+  for (size_t c = 0; c < in.num_columns(); ++c) {
+    in.column(c).FilterInto(*selection, &out.column(c));
+  }
+  return out;
+}
+
 Result<std::vector<FragmentOutput>> ExecuteFragment(
     const PipelineSpec& pipeline, data::Chunk&& stream,
     std::vector<data::Chunk> builds, CostAccumulator* cost) {
@@ -957,34 +943,6 @@ Result<std::vector<FragmentOutput>> ExecuteFragment(
                             /*memory=*/nullptr, /*morsel_rows=*/-1);
   SKYRISE_RETURN_IF_ERROR(executor.Push(std::move(stream)));
   return executor.Finish();
-}
-
-Result<data::Chunk> ApplyFilterOp(const OperatorSpec& op, data::Chunk&& in,
-                                  CostAccumulator* cost) {
-  return ApplyFilter(op, std::move(in), cost);
-}
-
-Result<data::Schema> PipelineOutputSchema(
-    const PipelineSpec& pipeline, const data::Schema& stream_schema,
-    const std::vector<data::Schema>& build_schemas) {
-  Schema current = stream_schema;
-  for (const auto& op : pipeline.ops) {
-    if (op.op == "project") {
-      SKYRISE_ASSIGN_OR_RETURN(current, ProjectSchema(op, current));
-    } else if (op.op == "hash_agg") {
-      SKYRISE_ASSIGN_OR_RETURN(current, AggSchema(op, current));
-    } else if (op.op == "hash_join") {
-      const size_t build_index = static_cast<size_t>(op.build_input - 1);
-      if (build_index >= build_schemas.size()) {
-        return Status::InvalidArgument("missing join build schema");
-      }
-      SKYRISE_ASSIGN_OR_RETURN(
-          current, JoinSchema(op, current, build_schemas[build_index]));
-    } else if (op.op == "bb_sessionize") {
-      current = SessionizeSchema();
-    }
-  }
-  return current;
 }
 
 }  // namespace skyrise::engine

@@ -129,18 +129,16 @@ class FragmentPipeline {
     const PipelineSpec& pipeline, data::Chunk&& stream,
     std::vector<data::Chunk> builds, CostAccumulator* cost);
 
-/// Applies one filter operator to a chunk (used by scan workers for
-/// per-row-group predicate pushdown before morsels enter the pipeline).
-[[nodiscard]] Result<data::Chunk> ApplyFilterOp(const OperatorSpec& op,
-                                                data::Chunk&& in,
-                                                CostAccumulator* cost);
-
-/// Output schema of the pipeline (after all non-terminal operators), given
-/// the streamed input schema and build schemas. Exposed for planning and
-/// tests.
-[[nodiscard]] Result<data::Schema> PipelineOutputSchema(const PipelineSpec& pipeline,
-                                          const data::Schema& stream_schema,
-                                          const std::vector<data::Schema>&
-                                              build_schemas);
+/// The filter kernel, shared by the pipeline's filter operator and scan
+/// workers' per-row-group predicate pushdown. Charges filter_ns_per_row per
+/// input row, refills `selection` with the rows `predicate` keeps and copies
+/// them into a chunk acquired from `pool`. A synthetic input instead shrinks
+/// to `selectivity` of its rows.
+[[nodiscard]] Result<data::Chunk> FilterChunk(const ExprPtr& predicate,
+                                              double selectivity,
+                                              const data::Chunk& in,
+                                              CostAccumulator* cost,
+                                              data::ChunkPool* pool,
+                                              std::vector<uint32_t>* selection);
 
 }  // namespace skyrise::engine

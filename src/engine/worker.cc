@@ -238,14 +238,11 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
   [[nodiscard]] Result<Chunk> ApplyPushdown(const InputSpec& spec,
                                             Chunk&& chunk) {
     if (!spec.pushdown) return std::move(chunk);
-    OperatorSpec filter;
-    filter.op = "filter";
-    filter.predicate = spec.pushdown;
-    filter.selectivity = spec.pushdown_selectivity;
-    Result<Chunk> out = ApplyFilterOp(filter, std::move(chunk), &cost_);
-    // ApplyFilterOp copies surviving rows out; the decoded source buffers
-    // go back to the pool for the next row group.
-    // skyrise-check: allow(use-after-move) — Release accepts moved-from chunks.
+    Result<Chunk> out =
+        FilterChunk(spec.pushdown, spec.pushdown_selectivity, chunk, &cost_,
+                    &chunk_pool_, &pushdown_selection_);
+    // The kernel copies surviving rows out; the decoded source buffers go
+    // back to the pool for the next row group.
     chunk_pool_.Release(std::move(chunk));
     return out;
   }
@@ -758,6 +755,8 @@ class WorkerTask : public std::enable_shared_from_this<WorkerTask> {
   /// pipeline morsels all share one free list (single-threaded on the sim
   /// event loop).
   data::ChunkPool chunk_pool_;
+  /// ApplyPushdown's selection vector, reused across row groups.
+  std::vector<uint32_t> pushdown_selection_;
   std::unique_ptr<FragmentPipeline> executor_;
   std::deque<Chunk> morsels_;
   int64_t morsels_seen_ = 0;

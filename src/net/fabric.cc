@@ -39,11 +39,6 @@ double Fabric::LastWindowBytes(TransferId id) const {
   return it == transfers_.end() ? 0 : it->second.last_window;
 }
 
-double Fabric::TotalBytes(TransferId id) const {
-  auto it = transfers_.find(id);
-  return it == transfers_.end() ? 0 : it->second.moved;
-}
-
 void Fabric::Step(SimTime now, SimDuration dt) {
   last_window_total_ = 0;
   if (transfers_.empty()) return;

@@ -63,8 +63,6 @@ class Fabric {
 
   /// Bytes moved by a transfer during the most recent Step.
   double LastWindowBytes(TransferId id) const;
-  /// Cumulative bytes moved by a transfer.
-  double TotalBytes(TransferId id) const;
 
   /// Sum of bytes moved by all transfers during the most recent Step.
   double last_window_total() const { return last_window_total_; }

@@ -95,9 +95,6 @@ class Tracer {
   double attributed_usd(const std::string& bucket) const;
   /// Sum over all buckets (deterministic map order).
   double attributed_usd_total() const;
-  const std::map<std::string, double>& cost_buckets() const {
-    return cost_buckets_;
-  }
 
   /// Structural invariants: every span closed, parents open before their
   /// children, and same-track children contained in their parent's

@@ -80,13 +80,6 @@ class PriceList {
   [[nodiscard]] Result<Ec2InstancePricing> Ec2(const std::string& instance_type) const;
   [[nodiscard]] Result<StorageServicePricing> Storage(const std::string& service) const;
 
-  const std::vector<Ec2InstancePricing>& ec2_instances() const {
-    return ec2_;
-  }
-  const std::vector<StorageServicePricing>& storage_services() const {
-    return storage_;
-  }
-
   /// Cost of a Lambda invocation: `memory_gib` for `duration` (billed at 1 ms
   /// granularity, rounded up) plus the request fee.
   double LambdaInvocationCost(double memory_gib, SimDuration duration) const;

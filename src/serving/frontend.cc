@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 #include "common/string_util.h"
 
@@ -125,6 +126,7 @@ void ServingFrontend::OnArrival(int tenant_index) {
       break;
     case AdmissionController::Decision::kShed:
       records_[static_cast<size_t>(record_index)].shed = true;
+      records_[static_cast<size_t>(record_index)].plan = engine::QueryPlan();
       if (metrics_ != nullptr) {
         metrics_->Add("serving.shed");
         metrics_->Add("serving." + name + ".shed");
@@ -150,7 +152,8 @@ void ServingFrontend::Dispatch(int64_t record_index) {
     metrics_->Add("serving.dispatched");
     metrics_->Add("serving." + tenant.spec.policy.name + ".dispatched");
   }
-  Json payload = engine::CoordinatorPayload(record.plan, record.id,
+  const engine::QueryPlan plan = std::exchange(record.plan, {});
+  Json payload = engine::CoordinatorPayload(plan, record.id,
                                             tenant.spec.partitions_per_worker);
   if (tenant.spec.query_deadline > 0) {
     payload["deadline_us"] = env_->now() + tenant.spec.query_deadline;

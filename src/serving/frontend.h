@@ -155,6 +155,7 @@ class ServingFrontend {
     int tenant = 0;
     QueryClass cls = QueryClass::kTpchQ6;
     std::string id;
+    /// Read only by Dispatch, which frees it; a shed query frees it too.
     engine::QueryPlan plan;
     SimTime arrival = 0;
     SimTime dispatch = -1;
@@ -170,9 +171,6 @@ class ServingFrontend {
   void OnComplete(int64_t record_index, const Result<Json>& result);
   void DrainQueues();
   void Sample();
-  const char* TenantName(int tenant_index) const {
-    return tenants_[static_cast<size_t>(tenant_index)].spec.policy.name.c_str();
-  }
 
   struct TenantState {
     TenantSpec spec;

@@ -48,11 +48,6 @@ SimDuration TokenBucket::TimeUntilAvailable(double amount, SimTime now) {
   return static_cast<SimDuration>(std::ceil(deficit / fill_rate_ * kSecond));
 }
 
-void TokenBucket::set_capacity(double capacity) {
-  capacity_ = capacity;
-  tokens_ = std::min(tokens_, capacity_);
-}
-
 void TokenBucket::SetTokens(double tokens, SimTime now) {
   tokens_ = std::clamp(tokens, 0.0, capacity_);
   last_refill_ = now;

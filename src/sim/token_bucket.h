@@ -33,8 +33,6 @@ class TokenBucket {
   /// Virtual time until `amount` tokens will be available (0 if already).
   SimDuration TimeUntilAvailable(double amount, SimTime now);
 
-  void set_fill_rate(double per_sec) { fill_rate_ = per_sec; }
-  void set_capacity(double capacity);
   double capacity() const { return capacity_; }
   double fill_rate() const { return fill_rate_; }
 

@@ -6,6 +6,20 @@
 
 namespace skyrise::storage {
 
+namespace {
+// Partition warming: a partition under sustained read load above this
+// share of its capacity accrues overload time toward a split.
+constexpr double kSplitOverloadUtilization = 0.85;
+constexpr int kMaxPartitions = 64;
+// Partition cooling: the load EWMA's time constant, and the share of one
+// partition's read capacity below which the cooling clock runs.
+constexpr SimDuration kCoolingEwmaTau = Minutes(30);
+constexpr double kCoolingRateThresholdFraction = 0.6;
+// Payloads smaller than this fold their transfer time into the sampled
+// latency instead of moving through the fabric.
+constexpr int64_t kMinFabricBytes = 256 * kKiB;
+}  // namespace
+
 ObjectStore::Options::Options() {
   // Fig. 10 S3 Standard shape: 27 ms median / 75 ms p95 reads with rare
   // multi-second outliers; writes at 40 ms median.
@@ -79,7 +93,6 @@ ObjectStore::Options ObjectStore::DynamoDbOptions() {
   o.read_stream_rate = 200.0 * kMiB;  // Service ceiling binds, not streams.
   o.write_stream_rate = 30.0 * kMiB;
   o.stream_jitter_sigma = 0.2;
-  o.min_fabric_bytes = 256 * kKiB;
   o.throttle_latency = LatencyProfile::FromMedianP95(2.5, 5);
   return o;
 }
@@ -164,7 +177,7 @@ double ObjectStore::ReadIopsCapacity() const {
 }
 
 void ObjectStore::SetPartitionCount(int count) {
-  SKYRISE_CHECK(count >= 1 && count <= opt_.max_partitions);
+  SKYRISE_CHECK(count >= 1 && count <= kMaxPartitions);
   while (static_cast<int>(partitions_.size()) < count) {
     partitions_.emplace_back(opt_, env_->now());
   }
@@ -193,10 +206,10 @@ void ObjectStore::UpdateLoadEwma() {
   const double rate =
       static_cast<double>(ewma_arrival_counter_) / ToSeconds(dt);
   ewma_arrival_counter_ = 0;
-  const double w = std::exp(-ToSeconds(dt) / ToSeconds(opt_.cooling_ewma_tau));
+  const double w = std::exp(-ToSeconds(dt) / ToSeconds(kCoolingEwmaTau));
   load_ewma_ = load_ewma_ * w + rate * (1.0 - w);
   ewma_last_update_ = now;
-  const bool cooling = load_ewma_ < opt_.cooling_rate_threshold_fraction *
+  const bool cooling = load_ewma_ < kCoolingRateThresholdFraction *
                                         opt_.partition_read_iops;
   if (cooling) {
     if (cooling_since_ < 0) cooling_since_ = now;
@@ -228,7 +241,7 @@ void ObjectStore::NoteArrival(Partition* partition, bool is_read) {
       static_cast<double>(partition->arrivals_since_check) / ToSeconds(elapsed);
   partition->arrivals_since_check = 0;
   partition->last_check = now;
-  if (rate >= opt_.split_overload_utilization * opt_.partition_read_iops) {
+  if (rate >= kSplitOverloadUtilization * opt_.partition_read_iops) {
     partition->overload_seconds += ToSeconds(elapsed);
   } else {
     partition->overload_seconds =
@@ -248,86 +261,84 @@ void ObjectStore::MaybeSplit(Partition* partition) {
       partitions_.size() > 1) {
     return;
   }
-  if (static_cast<int>(partitions_.size()) >= opt_.max_partitions) return;
+  if (static_cast<int>(partitions_.size()) >= kMaxPartitions) return;
   partition->overload_seconds = 0;
   last_split_ = now;
   partitions_.emplace_back(opt_, now);
 }
 
-void ObjectStore::FailAfterRejectLatency(const ClientContext& ctx,
-                                         Status error, GetCallback get_cb,
-                                         PutCallback put_cb) {
-  (void)ctx;
-  const SimDuration delay = SampleLatency(opt_.throttle_latency, &rng_);
-  env_->Schedule(delay, [error = std::move(error), get_cb = std::move(get_cb),
-                         put_cb = std::move(put_cb)] {
-    if (get_cb) get_cb(error);
-    if (put_cb) put_cb(error);
-  });
+Status ObjectStore::InjectFault(bool is_write, int64_t billed_bytes,
+                                const ClientContext& ctx) {
+  if (fault_injector_ == nullptr) return Status::OK();
+  Status injected = fault_injector_->MaybeStorageError(is_write);
+  if (injected.ok()) return injected;
+  Meter(is_write, billed_bytes, /*success=*/false, ctx);
+  if (ctx.tracer != nullptr) {
+    ctx.tracer->Instant("storage/" + opt_.service_name, "fault.injected",
+                        "storage", ctx.span);
+  }
+  if (ctx.metrics != nullptr) {
+    ctx.metrics->Add("storage." + opt_.service_name + ".faults_injected");
+  }
+  return injected;
 }
 
-void ObjectStore::FinishGet(Blob payload, const ClientContext& ctx,
-                            GetCallback callback) {
-  SimDuration first_byte = SampleLatency(opt_.read_latency, &rng_);
-  if (fault_injector_ != nullptr) {
-    first_byte += fault_injector_->MaybeNetworkBlip();
+void ObjectStore::Meter(bool is_write, int64_t billed_bytes, bool success,
+                        const ClientContext& ctx) {
+  if (ctx.meter == nullptr) return;
+  const double usd = ctx.meter->RecordStorageRequest(
+      opt_.service_name, is_write, billed_bytes, success);
+  if (ctx.tracer != nullptr) ctx.tracer->AddCost(ctx.span, usd);
+}
+
+Status ObjectStore::Throttle(const std::string& key,
+                             const ClientContext& ctx) {
+  if (ctx.tracer != nullptr) {
+    ctx.tracer->Instant("storage/" + opt_.service_name, "throttle", "storage",
+                        ctx.span);
   }
-  const double rate = opt_.read_stream_rate *
-                      rng_.Lognormal(0.0, opt_.stream_jitter_sigma);
-  if (ctx.fabric != nullptr && ctx.nic != nullptr &&
-      payload.size() >= opt_.min_fabric_bytes) {
-    env_->Schedule(first_byte, [this, payload, ctx, rate,
-                                callback = std::move(callback)]() mutable {
-      net::Fabric::TransferSpec spec;
-      spec.src = &service_nic_;
-      spec.dst = ctx.nic;
-      spec.flows = 1;
-      spec.total_bytes = payload.size();
-      spec.vpc = ctx.vpc;
-      spec.rate_cap_bytes_per_sec = rate;
-      spec.on_complete = [payload, callback = std::move(callback)](
-                             net::TransferId) { callback(payload); };
-      ctx.fabric->StartTransfer(spec);
-    });
-    return;
-  }
-  const SimDuration transfer =
-      Seconds(static_cast<double>(payload.size()) / rate);
-  env_->Schedule(first_byte + transfer,
-                 [payload, callback = std::move(callback)] {
-                   callback(payload);
+  return Status::ResourceExhausted("503 SlowDown: " + key);
+}
+
+template <typename Callback>
+void ObjectStore::Reject(Status error, Callback callback) {
+  const SimDuration delay = SampleLatency(opt_.throttle_latency, &rng_);
+  env_->Schedule(delay,
+                 [error = std::move(error), callback = std::move(callback)] {
+                   callback(error);
                  });
 }
 
-void ObjectStore::FinishPut(int64_t bytes, const ClientContext& ctx,
-                            PutCallback callback) {
-  SimDuration first_byte = SampleLatency(opt_.write_latency, &rng_);
+template <typename Deliver>
+void ObjectStore::Stream(bool is_write, int64_t bytes,
+                         const ClientContext& ctx, Deliver deliver) {
+  SimDuration first_byte = SampleLatency(
+      is_write ? opt_.write_latency : opt_.read_latency, &rng_);
   if (fault_injector_ != nullptr) {
     first_byte += fault_injector_->MaybeNetworkBlip();
   }
-  const double rate = opt_.write_stream_rate *
-                      rng_.Lognormal(0.0, opt_.stream_jitter_sigma);
-  if (ctx.fabric != nullptr && ctx.nic != nullptr &&
-      bytes >= opt_.min_fabric_bytes) {
-    env_->Schedule(first_byte, [this, bytes, ctx, rate,
-                                callback = std::move(callback)]() mutable {
-      net::Fabric::TransferSpec spec;
-      spec.src = ctx.nic;
-      spec.dst = &service_nic_;
-      spec.flows = 1;
-      spec.total_bytes = bytes;
-      spec.vpc = ctx.vpc;
-      spec.rate_cap_bytes_per_sec = rate;
-      spec.on_complete = [callback = std::move(callback)](net::TransferId) {
-        callback(Status::OK());
-      };
-      ctx.fabric->StartTransfer(spec);
-    });
+  const double rate =
+      (is_write ? opt_.write_stream_rate : opt_.read_stream_rate) *
+      rng_.Lognormal(0.0, opt_.stream_jitter_sigma);
+  if (ctx.fabric == nullptr || ctx.nic == nullptr || bytes < kMinFabricBytes) {
+    const SimDuration transfer = Seconds(static_cast<double>(bytes) / rate);
+    env_->Schedule(first_byte + transfer, std::move(deliver));
     return;
   }
-  const SimDuration transfer = Seconds(static_cast<double>(bytes) / rate);
-  env_->Schedule(first_byte + transfer,
-                 [callback = std::move(callback)] { callback(Status::OK()); });
+  net::Fabric::TransferSpec spec;
+  spec.src = is_write ? ctx.nic : &service_nic_;
+  spec.dst = is_write ? &service_nic_ : ctx.nic;
+  spec.flows = 1;
+  spec.total_bytes = bytes;
+  spec.vpc = ctx.vpc;
+  spec.rate_cap_bytes_per_sec = rate;
+  env_->Schedule(first_byte, [fabric = ctx.fabric, spec = std::move(spec),
+                              deliver = std::move(deliver)]() mutable {
+    spec.on_complete = [deliver = std::move(deliver)](net::TransferId) mutable {
+      deliver();
+    };
+    fabric->StartTransfer(std::move(spec));
+  });
 }
 
 void ObjectStore::Get(const std::string& key, const ClientContext& ctx,
@@ -339,25 +350,10 @@ void ObjectStore::GetRange(const std::string& key, int64_t offset,
                            int64_t length, const ClientContext& ctx,
                            GetCallback callback) {
   const SimTime now = env_->now();
-  if (fault_injector_ != nullptr) {
-    Status injected = fault_injector_->MaybeStorageError(/*is_write=*/false);
-    if (!injected.ok()) {
-      if (ctx.meter != nullptr) {
-        const double usd = ctx.meter->RecordStorageRequest(
-            opt_.service_name, /*is_write=*/false, 0, /*success=*/false);
-        if (ctx.tracer != nullptr) ctx.tracer->AddCost(ctx.span, usd);
-      }
-      if (ctx.tracer != nullptr) {
-        ctx.tracer->Instant("storage/" + opt_.service_name, "fault.injected",
-                            "storage", ctx.span);
-      }
-      if (ctx.metrics != nullptr) {
-        ctx.metrics->Add("storage." + opt_.service_name + ".faults_injected");
-      }
-      FailAfterRejectLatency(ctx, std::move(injected), std::move(callback),
-                             nullptr);
-      return;
-    }
+  Status injected = InjectFault(/*is_write=*/false, /*billed_bytes=*/0, ctx);
+  if (!injected.ok()) {
+    Reject(std::move(injected), std::move(callback));
+    return;
   }
   bool admitted;
   if (opt_.partitioned) {
@@ -374,25 +370,14 @@ void ObjectStore::GetRange(const std::string& key, int64_t offset,
       !found ? 0
              : (length < 0 ? it->second.size() - std::min(offset, it->second.size())
                            : std::min(length, it->second.size() - offset));
-  if (ctx.meter != nullptr) {
-    const double usd = ctx.meter->RecordStorageRequest(
-        opt_.service_name, /*is_write=*/false,
-        std::max<int64_t>(payload_size, 0), admitted && found);
-    if (ctx.tracer != nullptr) ctx.tracer->AddCost(ctx.span, usd);
-  }
+  Meter(/*is_write=*/false, std::max<int64_t>(payload_size, 0),
+        admitted && found, ctx);
   if (!admitted) {
-    if (ctx.tracer != nullptr) {
-      ctx.tracer->Instant("storage/" + opt_.service_name, "throttle",
-                          "storage", ctx.span);
-    }
-    FailAfterRejectLatency(ctx,
-                           Status::ResourceExhausted("503 SlowDown: " + key),
-                           std::move(callback), nullptr);
+    Reject(Throttle(key, ctx), std::move(callback));
     return;
   }
   if (!found) {
-    FailAfterRejectLatency(ctx, Status::NotFound("NoSuchKey: " + key),
-                           std::move(callback), nullptr);
+    Reject(Status::NotFound("NoSuchKey: " + key), std::move(callback));
     return;
   }
   Blob payload = length < 0 && offset == 0
@@ -400,32 +385,21 @@ void ObjectStore::GetRange(const std::string& key, int64_t offset,
                      : it->second.Slice(offset, length < 0
                                                     ? it->second.size() - offset
                                                     : length);
-  FinishGet(std::move(payload), ctx, std::move(callback));
+  const int64_t bytes = payload.size();
+  Stream(/*is_write=*/false, bytes, ctx,
+         [payload = std::move(payload),
+          callback = std::move(callback)]() mutable {
+           callback(std::move(payload));
+         });
 }
 
 void ObjectStore::Put(const std::string& key, Blob data,
                       const ClientContext& ctx, PutCallback callback) {
   const SimTime now = env_->now();
-  if (fault_injector_ != nullptr) {
-    Status injected = fault_injector_->MaybeStorageError(/*is_write=*/true);
-    if (!injected.ok()) {
-      if (ctx.meter != nullptr) {
-        const double usd = ctx.meter->RecordStorageRequest(
-            opt_.service_name, /*is_write=*/true, data.size(),
-            /*success=*/false);
-        if (ctx.tracer != nullptr) ctx.tracer->AddCost(ctx.span, usd);
-      }
-      if (ctx.tracer != nullptr) {
-        ctx.tracer->Instant("storage/" + opt_.service_name, "fault.injected",
-                            "storage", ctx.span);
-      }
-      if (ctx.metrics != nullptr) {
-        ctx.metrics->Add("storage." + opt_.service_name + ".faults_injected");
-      }
-      FailAfterRejectLatency(ctx, std::move(injected), nullptr,
-                             std::move(callback));
-      return;
-    }
+  Status injected = InjectFault(/*is_write=*/true, data.size(), ctx);
+  if (!injected.ok()) {
+    Reject(std::move(injected), std::move(callback));
+    return;
   }
   if (opt_.max_object_bytes > 0 && data.size() > opt_.max_object_bytes) {
     // Size violations are rejected synchronously at request validation and
@@ -437,29 +411,19 @@ void ObjectStore::Put(const std::string& key, Blob data,
     return;
   }
   const bool admitted = global_write_bucket_.TryConsume(1, now);
-  if (ctx.meter != nullptr) {
-    const double usd = ctx.meter->RecordStorageRequest(
-        opt_.service_name, /*is_write=*/true, data.size(), admitted);
-    if (ctx.tracer != nullptr) ctx.tracer->AddCost(ctx.span, usd);
-  }
+  Meter(/*is_write=*/true, data.size(), admitted, ctx);
   if (!admitted) {
-    if (ctx.tracer != nullptr) {
-      ctx.tracer->Instant("storage/" + opt_.service_name, "throttle",
-                          "storage", ctx.span);
-    }
-    FailAfterRejectLatency(ctx,
-                           Status::ResourceExhausted("503 SlowDown: " + key),
-                           nullptr, std::move(callback));
+    Reject(Throttle(key, ctx), std::move(callback));
     return;
   }
   const int64_t bytes = data.size();
   // The object becomes visible on completion (read-after-write consistency).
-  FinishPut(bytes, ctx,
-            [this, key, data = std::move(data),
-             callback = std::move(callback)](Status status) mutable {
-              if (status.ok()) objects_[key] = std::move(data);
-              callback(status);
-            });
+  Stream(/*is_write=*/true, bytes, ctx,
+         [this, key, data = std::move(data),
+          callback = std::move(callback)]() mutable {
+           objects_[key] = std::move(data);
+           callback(Status::OK());
+         });
 }
 
 Status ObjectStore::Insert(const std::string& key, Blob data) {

@@ -53,9 +53,7 @@ class ObjectStore : public StorageService {
     double bucket_write_iops = 0;  ///< Only when !partitioned.
 
     // Partition warming (split) behaviour.
-    double split_overload_utilization = 0.85;  ///< Of sustained capacity.
     SimDuration split_after_overload = Minutes(5.2);
-    int max_partitions = 64;
 
     // Partition cooling (merge) behaviour. The cooling clock runs while the
     // load EWMA stays below a fraction of a single partition's capacity;
@@ -63,8 +61,6 @@ class ObjectStore : public StorageService {
     // downscaling despite generating hourly/daily probe load).
     SimDuration merge_to_two_after_idle = Hours(26);
     SimDuration merge_to_one_after_idle = Hours(108);
-    SimDuration cooling_ewma_tau = Minutes(30);
-    double cooling_rate_threshold_fraction = 0.6;  ///< Of one partition.
 
     // Latency (Fig. 10) and data-plane streaming.
     LatencyProfile read_latency;
@@ -72,7 +68,6 @@ class ObjectStore : public StorageService {
     double read_stream_rate = 62.0 * kMiB;   ///< Bytes/s per request.
     double write_stream_rate = 40.0 * kMiB;
     double stream_jitter_sigma = 0.25;
-    int64_t min_fabric_bytes = 256 * kKiB;
     /// Service endpoint ceilings (S3's fleet is effectively unlimited at our
     /// scales; EFS/DynamoDB-style services reuse this class via options).
     double service_egress = 400.0 * kGiB;
@@ -165,11 +160,30 @@ class ObjectStore : public StorageService {
   void UpdateLoadEwma();
   void ApplyCooling();
 
-  /// Common read/write completion path: latency, streaming, callback.
-  void FinishGet(Blob payload, const ClientContext& ctx, GetCallback callback);
-  void FinishPut(int64_t bytes, const ClientContext& ctx, PutCallback callback);
-  void FailAfterRejectLatency(const ClientContext& ctx, Status error,
-                              GetCallback get_cb, PutCallback put_cb);
+  // The request path GET, ranged GET and PUT share. Each step is written
+  // once over the request's direction (`is_write`) and billed bytes;
+  // GetRange and Put keep only admission, lookup and publication.
+
+  /// Draws the injector's error for the request. An injected fault is
+  /// metered as a failed request, traced and counted, and returned for the
+  /// caller to Reject; OK when nothing is injected.
+  Status InjectFault(bool is_write, int64_t billed_bytes,
+                     const ClientContext& ctx);
+  /// Meters the request and attributes its USD to the client's span.
+  void Meter(bool is_write, int64_t billed_bytes, bool success,
+             const ClientContext& ctx);
+  /// Traces a throttle and returns the 503 SlowDown to Reject with.
+  Status Throttle(const std::string& key, const ClientContext& ctx);
+  /// Delivers `error` after a throttle-latency draw.
+  template <typename Callback>
+  void Reject(Status error, Callback callback);
+  /// Samples first-byte latency, a network blip and the stream rate, moves
+  /// `bytes` between the client's NIC and the service (through the fabric
+  /// when the client has one and the payload is large enough), then calls
+  /// `deliver()`.
+  template <typename Deliver>
+  void Stream(bool is_write, int64_t bytes, const ClientContext& ctx,
+              Deliver deliver);
 
   sim::SimEnvironment* env_;
   Options opt_;

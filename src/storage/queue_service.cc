@@ -28,34 +28,4 @@ void QueueService::Arrive(const std::string& name, int expected,
   }
 }
 
-void QueueService::Push(const std::string& queue, std::string message,
-                        std::function<void()> on_done) {
-  env_->Schedule(opt_.poll_latency_median,
-                 [this, queue, message = std::move(message),
-                  on_done = std::move(on_done)]() mutable {
-                   queues_[queue].push_back(std::move(message));
-                   if (on_done) on_done();
-                 });
-}
-
-void QueueService::Pop(const std::string& queue,
-                       std::function<void(bool, std::string)> on_done) {
-  env_->Schedule(opt_.poll_latency_median,
-                 [this, queue, on_done = std::move(on_done)] {
-                   auto& q = queues_[queue];
-                   if (q.empty()) {
-                     on_done(false, "");
-                     return;
-                   }
-                   std::string msg = std::move(q.front());
-                   q.erase(q.begin());
-                   on_done(true, std::move(msg));
-                 });
-}
-
-int64_t QueueService::Depth(const std::string& queue) const {
-  auto it = queues_.find(queue);
-  return it == queues_.end() ? 0 : static_cast<int64_t>(it->second.size());
-}
-
 }  // namespace skyrise::storage

@@ -32,17 +32,6 @@ class QueueService {
   void Arrive(const std::string& name, int expected,
               std::function<void()> on_release);
 
-  /// Simple message queue: push is asynchronous with a small latency.
-  void Push(const std::string& queue, std::string message,
-            std::function<void()> on_done);
-
-  /// Pops one message if available; fires with empty optional semantics via
-  /// the bool flag otherwise.
-  void Pop(const std::string& queue,
-           std::function<void(bool, std::string)> on_done);
-
-  int64_t Depth(const std::string& queue) const;
-
  private:
   struct Barrier {
     int expected = 0;
@@ -52,7 +41,6 @@ class QueueService {
   sim::SimEnvironment* env_;
   Options opt_;
   std::map<std::string, Barrier> barriers_;
-  std::map<std::string, std::vector<std::string>> queues_;
 };
 
 }  // namespace skyrise::storage

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "common/histogram.h"
+#include "net/fabric_driver.h"
+#include "net/nic.h"
 #include "storage/retry_client.h"
 
 namespace skyrise::storage {
@@ -319,20 +321,69 @@ TEST_F(ObjectStoreTest, InjectedStorageErrorsFailRequests) {
 }
 
 TEST_F(ObjectStoreTest, InjectedErrorsAreMeteredAsFailedRequests) {
-  sim::FaultInjector::Profile profile;
-  profile.storage_read_error_probability = 1.0;
-  sim::FaultInjector injector(&env_, profile);
-  pricing::CostMeter meter;
-  ClientContext ctx;
-  ctx.meter = &meter;
-  ObjectStore s3(&env_, ObjectStore::StandardOptions());
-  s3.set_fault_injector(&injector);
-  ASSERT_TRUE(s3.Insert("k", Blob::FromString("v")).ok());
-  s3.Get("k", ctx, [](Result<Blob>) {});
-  env_.Run();
-  // Failed requests still bill and count (S3 charges for 5xx responses).
-  EXPECT_EQ(meter.RequestCount("s3"), 1);
-  EXPECT_EQ(meter.FailedRequests(), 1);
+  // Failed requests still bill and count (S3 charges for 5xx responses). A
+  // GET bills no payload; a PUT bills the bytes it sent.
+  const Blob data = Blob::Synthetic(3 * kKiB);
+  for (const bool is_write : {false, true}) {
+    SCOPED_TRACE(is_write ? "PUT" : "GET");
+    sim::SimEnvironment env(42);
+    sim::FaultInjector::Profile profile;
+    profile.storage_read_error_probability = 1.0;
+    profile.storage_write_error_probability = 1.0;
+    sim::FaultInjector injector(&env, profile);
+    pricing::CostMeter meter;
+    ClientContext ctx;
+    ctx.meter = &meter;
+    ObjectStore s3(&env, ObjectStore::StandardOptions());
+    s3.set_fault_injector(&injector);
+    ASSERT_TRUE(s3.Insert("k", data).ok());
+    Status status;
+    if (is_write) {
+      s3.Put("k", data, ctx, [&](Status s) { status = std::move(s); });
+    } else {
+      s3.Get("k", ctx, [&](Result<Blob> r) { status = r.status(); });
+    }
+    env.Run();
+    EXPECT_FALSE(status.ok());
+    EXPECT_EQ(meter.RequestCount("s3"), 1);
+    EXPECT_EQ(meter.FailedRequests(), 1);
+    EXPECT_EQ(meter.BytesMoved("s3"), is_write ? data.size() : 0);
+  }
+}
+
+TEST_F(ObjectStoreTest, FabricTransfersDrainTheClientNicInTheRequestDirection) {
+  // Payloads at or above the fabric threshold stream through the client's
+  // NIC: a GET (service -> client) drains its ingress bucket, a PUT
+  // (client -> service) its egress bucket.
+  const int64_t bytes = kMiB;
+  for (const bool is_write : {false, true}) {
+    SCOPED_TRACE(is_write ? "PUT" : "GET");
+    sim::SimEnvironment env(42);
+    net::Fabric fabric;
+    net::FabricDriver driver(&env, &fabric);
+    net::Ec2Nic::Options nic_opt;
+    nic_opt.baseline_rate = 0;  // No refill: the bucket shows every byte.
+    nic_opt.bucket_bytes = 64.0 * kMiB;
+    net::Ec2Nic nic(nic_opt);
+    ClientContext ctx;
+    ctx.nic = &nic;
+    ctx.fabric = &driver;
+    ObjectStore s3(&env, ObjectStore::StandardOptions());
+    ASSERT_TRUE(s3.Insert("k", Blob::Synthetic(bytes)).ok());
+    bool delivered = false;
+    if (is_write) {
+      s3.Put("w", Blob::Synthetic(bytes), ctx,
+             [&](Status s) { delivered = s.ok(); });
+    } else {
+      s3.Get("k", ctx, [&](Result<Blob> r) { delivered = r.ok(); });
+    }
+    env.Run();
+    ASSERT_TRUE(delivered);
+    const double in = nic.BucketRemaining(net::Direction::kIn, env.now());
+    const double out = nic.BucketRemaining(net::Direction::kOut, env.now());
+    EXPECT_NEAR(is_write ? out : in, nic_opt.bucket_bytes - bytes, 1.0);
+    EXPECT_EQ(is_write ? in : out, nic_opt.bucket_bytes);
+  }
 }
 
 TEST_F(ObjectStoreTest, RetryClientMasksInjectedTransientErrors) {

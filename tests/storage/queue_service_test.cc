@@ -48,32 +48,5 @@ TEST_F(QueueServiceTest, BarrierReusableAfterRelease) {
   EXPECT_EQ(second, 1);
 }
 
-TEST_F(QueueServiceTest, PushPopFifo) {
-  queue_.Push("q", "m1", nullptr);
-  queue_.Push("q", "m2", nullptr);
-  env_.Run();
-  EXPECT_EQ(queue_.Depth("q"), 2);
-  std::vector<std::string> popped;
-  queue_.Pop("q", [&](bool ok, std::string m) {
-    ASSERT_TRUE(ok);
-    popped.push_back(std::move(m));
-  });
-  env_.Run();
-  queue_.Pop("q", [&](bool ok, std::string m) {
-    ASSERT_TRUE(ok);
-    popped.push_back(std::move(m));
-  });
-  env_.Run();
-  EXPECT_EQ(popped, (std::vector<std::string>{"m1", "m2"}));
-  EXPECT_EQ(queue_.Depth("q"), 0);
-}
-
-TEST_F(QueueServiceTest, PopEmptyReportsMiss) {
-  bool got = true;
-  queue_.Pop("empty", [&](bool ok, std::string) { got = ok; });
-  env_.Run();
-  EXPECT_FALSE(got);
-}
-
 }  // namespace
 }  // namespace skyrise::storage

@@ -356,10 +356,11 @@ TEST(SkyriseCheckState, InventoryHasNoUnclassifiedEntries) {
   const std::string inventory =
       RenderStateInventoryForTree(SKYRISE_SOURCE_DIR);
   EXPECT_EQ(inventory.find("\"unconfined\""), std::string::npos);
-  // The audit is not vacuous: the tree has statics and the known suppressed
-  // log-level global is recorded.
+  // The audit is not vacuous: the tree has statics, and a known const-init
+  // one is recorded and classified.
   EXPECT_NE(inventory.find("\"statics\""), std::string::npos);
-  EXPECT_NE(inventory.find("g_level"), std::string::npos);
+  EXPECT_NE(inventory.find("skyrise::sim::kInvalidEventId"), std::string::npos);
+  EXPECT_NE(inventory.find("\"const-init\""), std::string::npos);
 }
 
 // --- DESIGN.md section 6 ----------------------------------------------------

@@ -463,8 +463,7 @@ void Checker::CheckHeaderHygiene(const SourceFile& file,
             (pos + 4 >= line.size() || !IsIdentChar(line[pos + 4]));
         if (word) {
           Emit(file, static_cast<int>(li) + 1, "raw-stdout",
-               "std::cout in library code; use the logging layer or a "
-               "report writer",
+               "std::cout in library code; report through platform/report",
                out);
           break;
         }

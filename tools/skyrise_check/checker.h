@@ -21,7 +21,7 @@
 ///   pragma-once         header missing `#pragma once`
 ///   using-namespace     `using namespace` at any scope in a header
 ///   raw-stdout          std::cout outside tools/ and examples/ (library code
-///                       reports through the logging/report layers)
+///                       reports through platform/report)
 ///   chunk-copy          pass-by-value data::Chunk parameter in engine code —
 ///                       a silent deep copy of whole column vectors on the
 ///                       morsel hot path; take `const data::Chunk&` or
